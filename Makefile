@@ -1,6 +1,6 @@
 # Tier-1 verification: everything must build, vet clean, pass the
 # full test suite under the race detector (the concurrent serving path —
-# pool, batch, formserve — is exercised by design), and keep the compiled
+# pool, stream, formserve — is exercised by design), and keep the compiled
 # evaluation plan differentially equal to the interpreted oracle.
 .PHONY: check build vet test parity guards hostile bench bench-smoke bench-cache bench-frontend bench-parser bench-stream cluster-smoke bench-cluster bench-query
 
@@ -9,8 +9,12 @@ check: build vet test parity guards
 build:
 	go build ./...
 
+# The benchmark is a nested module, so `./...` skips it; vetting it here
+# type-checks it against the facade. (vet, not build: building its main
+# package would drop a binary into the tree.)
 vet:
 	go vet ./...
+	cd benchmark && go vet ./...
 
 test:
 	go test -race ./...
@@ -92,7 +96,7 @@ bench-parser:
 	cat BENCH_parser.json
 
 # Streaming-ingest gate: race-gated soak of the ExtractStream path (the
-# bounded in-flight, backpressure, dedup and differential ExtractAll tests),
+# bounded in-flight, backpressure, dedup, fault-injection and batch-by-Seq tests),
 # then a 100k-page synthetic crawl through cmd/formcrawl proving the
 # admission bound and a flat memory ceiling — its report is BENCH_stream.json.
 bench-stream:

@@ -8,6 +8,7 @@
 package formext_test
 
 import (
+	"context"
 	"testing"
 
 	"formext"
@@ -26,11 +27,12 @@ func TestColdExtractAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Extract(dataset.QamHTML); err != nil { // warm pools
+	src := []byte(dataset.QamHTML)
+	if _, err := pool.ExtractBytes(context.Background(), src); err != nil { // warm pools
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := pool.Extract(dataset.QamHTML); err != nil {
+		if _, err := pool.ExtractBytes(context.Background(), src); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -7,6 +7,7 @@ package formext_test
 // prints the same rows as readable tables.
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -294,13 +295,14 @@ func BenchmarkPoolExtract(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := pool.Extract(dataset.QamHTML); err != nil { // warm up
+	src := []byte(dataset.QamHTML)
+	if _, err := pool.ExtractBytes(context.Background(), src); err != nil { // warm up
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pool.Extract(dataset.QamHTML); err != nil {
+		if _, err := pool.ExtractBytes(context.Background(), src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -313,34 +315,41 @@ func BenchmarkPoolExtractParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	src := []byte(dataset.QamHTML)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := pool.Extract(dataset.QamHTML); err != nil {
+			if _, err := pool.ExtractBytes(context.Background(), src); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkExtractAll is the crawl-scale batch entry point: the 30-source
-// NewSource dataset extracted with the default (GOMAXPROCS) worker count.
-func BenchmarkExtractAll(b *testing.B) {
+// BenchmarkExtractStream is the many-page entry point: the 30-source
+// NewSource dataset streamed with the default (GOMAXPROCS) worker count.
+func BenchmarkExtractStream(b *testing.B) {
 	srcs := dataset.NewSource()
-	pages := make([]string, len(srcs))
-	for i, s := range srcs {
-		pages[i] = s.HTML
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := formext.ExtractAll(pages, formext.BatchOptions{})
-		if err != nil {
-			b.Fatal(err)
+		in := make(chan formext.Page)
+		go func() {
+			defer close(in)
+			for _, s := range srcs {
+				in <- formext.Page{HTML: s.HTML}
+			}
+		}()
+		n := 0
+		for pr := range formext.ExtractStream(context.Background(), in, formext.StreamOptions{}) {
+			if pr.Err != nil {
+				b.Fatal(pr.Err)
+			}
+			n++
 		}
-		if len(res) != len(pages) {
-			b.Fatalf("results = %d", len(res))
+		if n != len(srcs) {
+			b.Fatalf("results = %d", n)
 		}
 	}
 }

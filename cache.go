@@ -68,28 +68,16 @@ func (c *Cache) Stats() CacheStats { return c.c.Stats() }
 // sharding stands on (a golden-key test pins it against drift).
 type CacheKey = cache.Key
 
-// ExtractKey returns the content-addressed key an extraction of src would
-// be cached under. It is derived without running any pipeline stage (two
-// SHA-256 passes over the page bytes), so serving layers can route a
+// ExtractKeyBytes returns the content-addressed key an extraction of src
+// would be cached under. It is derived without running any pipeline stage
+// (two SHA-256 passes over the page bytes), so serving layers can route a
 // request — to a cache shard, to a cluster peer — before doing any work.
-func (e *Extractor) ExtractKey(src string) CacheKey {
-	return pageKey(e.keyPrefix, viewBytes(src))
-}
-
-// ExtractKeyBytes is ExtractKey over a byte buffer, sharing it with the
-// extraction instead of forcing a string conversion first.
 func (e *Extractor) ExtractKeyBytes(src []byte) CacheKey {
 	return pageKey(e.keyPrefix, src)
 }
 
-// ExtractKey returns the content-addressed key an extraction of src through
-// this pool would be cached under; see Extractor.ExtractKey.
-func (p *Pool) ExtractKey(src string) CacheKey {
-	return pageKey(p.keyPrefix, viewBytes(src))
-}
-
-// ExtractKeyBytes is ExtractKey over a byte buffer; see
-// Extractor.ExtractKeyBytes.
+// ExtractKeyBytes returns the content-addressed key an extraction of src
+// through this pool would be cached under; see Extractor.ExtractKeyBytes.
 func (p *Pool) ExtractKeyBytes(src []byte) CacheKey {
 	return pageKey(p.keyPrefix, src)
 }
@@ -103,7 +91,9 @@ func (p *Pool) ExtractKeyBytes(src []byte) CacheKey {
 // actually cut short by the budget are never cached (see cacheable), so two
 // budgeted configurations that both ran to completion are interchangeable.
 // The Tracer is deliberately excluded — observability does not change the
-// result.
+// result. The "interp=false" field is a constant: it once recorded an
+// evaluation-mode option, and keeping its bytes keeps every key derived
+// before that option was removed valid across the fleet.
 func cachePrefix(g *grammar.Grammar, o Options, viewport float64, maxTokens int, budgeted bool) [32]byte {
 	th := o.Thresholds
 	if th == (geom.Thresholds{}) {
@@ -120,9 +110,9 @@ func cachePrefix(g *grammar.Grammar, o Options, viewport float64, maxTokens int,
 		maxDepth = -1
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "formext/key/v1\n%s\nviewport=%g thresholds=%+v noprefs=%t nosched=%t maxinst=%d maxdepth=%d maxtokens=%d interp=%t budgeted=%t",
+	fmt.Fprintf(h, "formext/key/v1\n%s\nviewport=%g thresholds=%+v noprefs=%t nosched=%t maxinst=%d maxdepth=%d maxtokens=%d interp=false budgeted=%t",
 		g.Fingerprint(), viewport, th, o.DisablePreferences, o.DisableScheduling,
-		maxInst, maxDepth, maxTokens, o.InterpretedEval, budgeted)
+		maxInst, maxDepth, maxTokens, budgeted)
 	var p [32]byte
 	h.Sum(p[:0])
 	return p
@@ -151,9 +141,9 @@ func pageKey(prefix [32]byte, src []byte) cache.Key {
 //
 // Freeze is idempotent but not itself concurrency-safe: exactly one
 // goroutine must freeze the result, with a happens-before edge to every
-// reader — the cache provides that edge for cached results, and ExtractAll
-// provides it for deduplicated batch pages. After Freeze the result and
-// everything reachable from it must be treated as read-only.
+// reader — the cache provides that edge for cached results, and
+// ExtractStream provides it for coalesced duplicate pages. After Freeze the
+// result and everything reachable from it must be treated as read-only.
 func (r *Result) Freeze() *Result {
 	if r.frozen {
 		return r

@@ -8,6 +8,7 @@ package formext_test
 // shape: a few hot interfaces, a long cold tail).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -81,9 +82,9 @@ func BenchmarkCacheParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pages := make([]string, 64)
+	pages := make([][]byte, 64)
 	for i := range pages {
-		pages[i] = distinctPage(i)
+		pages[i] = []byte(distinctPage(i))
 	}
 	if p := runtime.GOMAXPROCS(0); p < 16 {
 		b.SetParallelism((16 + p - 1) / p)
@@ -95,7 +96,7 @@ func BenchmarkCacheParallel(b *testing.B) {
 		r := rand.New(rand.NewSource(seed.Add(1)))
 		zipf := rand.NewZipf(r, 1.3, 4, uint64(len(pages)-1))
 		for pb.Next() {
-			if _, err := pool.Extract(pages[zipf.Uint64()]); err != nil {
+			if _, err := pool.ExtractBytes(context.Background(), pages[zipf.Uint64()]); err != nil {
 				b.Fatal(err)
 			}
 		}

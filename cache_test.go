@@ -111,7 +111,7 @@ func TestCacheStampedeSingleExtraction(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			started.Done()
-			results[i], errs[i] = pool.Extract(qamHTML)
+			results[i], errs[i] = pool.ExtractBytes(context.Background(), []byte(qamHTML))
 		}(i)
 	}
 	started.Wait()
@@ -257,96 +257,6 @@ func TestCacheHitZeroesStageTimings(t *testing.T) {
 	}
 }
 
-// TestExtractAllDeduplicatesIdenticalPages checks the batch fan-out
-// contract: byte-identical pages extract once, every index gets its own
-// Result struct (never an alias of the canonical one), duplicates carry the
-// Coalesced marker, and the shared immutable parts are pointer-identical.
-func TestExtractAllDeduplicatesIdenticalPages(t *testing.T) {
-	var runs atomic.Int32
-	orig := stageHook
-	stageHook = func(stage string) {
-		if stage == "htmlparse" {
-			runs.Add(1)
-		}
-	}
-	t.Cleanup(func() { stageHook = orig })
-
-	pageA := qamHTML
-	pageB := qaaHTML
-	pages := []string{pageA, pageB, pageA, pageA, pageB}
-	results, err := ExtractAll(pages, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runs.Load(); got != 2 {
-		t.Fatalf("pipeline ran %d times for 2 distinct pages, want 2", got)
-	}
-	for i, res := range results {
-		if res == nil {
-			t.Fatalf("page %d: nil result", i)
-		}
-	}
-	for _, dup := range []int{2, 3} {
-		if !results[dup].Stats.Coalesced {
-			t.Errorf("page %d: duplicate not marked Coalesced", dup)
-		}
-		if results[dup] == results[0] {
-			t.Errorf("page %d aliases the canonical Result struct", dup)
-		}
-		if results[dup].Model != results[0].Model {
-			t.Errorf("page %d does not share the canonical model", dup)
-		}
-		if results[dup].Stats.Duration != results[0].Stats.Duration {
-			t.Errorf("page %d lost the shared extraction's timings", dup)
-		}
-	}
-	if results[0].Stats.Coalesced || results[1].Stats.Coalesced {
-		t.Error("canonical pages must not carry the Coalesced marker")
-	}
-	if !results[4].Stats.Coalesced || results[4].Model != results[1].Model {
-		t.Error("page 4 must share page 1's extraction")
-	}
-	// Per-page Stats are independent structs: scribbling on a duplicate's
-	// copy must not leak into the canonical result.
-	results[2].Stats.Coalesced = false
-	if !results[3].Stats.Coalesced {
-		t.Error("duplicate Stats are aliased between pages")
-	}
-}
-
-// TestExtractAllDuplicateOfFailedPage pins the failure half of the
-// fan-out: when the canonical extraction fails, every duplicate reports the
-// same error at its own index instead of silently vanishing.
-func TestExtractAllDuplicateOfFailedPage(t *testing.T) {
-	boom := errors.New("injected page failure")
-	orig := extractPage
-	extractPage = func(ctx context.Context, ex *Extractor, src string) (*Result, error) {
-		if src == "FAIL" {
-			return nil, boom
-		}
-		return ex.ExtractHTMLContext(ctx, src)
-	}
-	t.Cleanup(func() { extractPage = orig })
-
-	pages := []string{"FAIL", qamHTML, "FAIL"}
-	results, err := ExtractAll(pages, BatchOptions{})
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("want *BatchError, got %v", err)
-	}
-	if len(be.Pages) != 2 || be.Pages[0].Page != 0 || be.Pages[1].Page != 2 {
-		t.Fatalf("failed pages = %+v, want pages 0 and 2", be.Pages)
-	}
-	for _, pe := range be.Pages {
-		if !errors.Is(pe.Err, boom) {
-			t.Errorf("page %d error = %v, want the injected failure", pe.Page, pe.Err)
-		}
-	}
-	if results[0] != nil || results[2] != nil || results[1] == nil {
-		t.Error("results must be nil exactly at the failed indices")
-	}
-}
-
 // TestCacheHitPathAllocations guards the hit path's allocation budget: a
 // warm hit does no pipeline work and allocates nothing beyond the
 // caller-owned Result view.
@@ -392,7 +302,7 @@ func TestCachePanicDoesNotPoisonKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	arm.Store(true)
-	_, err = pool.Extract(qamHTML)
+	_, err = pool.ExtractBytes(context.Background(), []byte(qamHTML))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PanicError, got %v", err)
@@ -400,7 +310,7 @@ func TestCachePanicDoesNotPoisonKey(t *testing.T) {
 	if n := c.Stats().Entries; n != 0 {
 		t.Fatalf("panicking extraction left %d cached entries", n)
 	}
-	res, err := pool.Extract(qamHTML)
+	res, err := pool.ExtractBytes(context.Background(), []byte(qamHTML))
 	if err != nil || len(res.Model.Conditions) != 5 {
 		t.Fatalf("retry after contained panic failed: %v", err)
 	}
@@ -452,7 +362,7 @@ func TestCacheCancelledLeaderNotCached(t *testing.T) {
 	page := widePage(20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ex.ExtractHTMLContext(ctx, page); !errors.Is(err, context.Canceled) {
+	if _, err := ex.ExtractBytes(ctx, []byte(page)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if n := c.Stats().Entries; n != 0 {
@@ -523,7 +433,7 @@ func TestCacheSharedAcrossPoolAndExtractor(t *testing.T) {
 	if _, err := ex.ExtractHTML(qaaHTML); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.Extract(qaaHTML)
+	res, err := pool.ExtractBytes(context.Background(), []byte(qaaHTML))
 	if err != nil {
 		t.Fatal(err)
 	}

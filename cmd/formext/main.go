@@ -6,10 +6,10 @@
 //	formext [flags] [file.html ...]
 //
 // With no file argument, HTML is read from standard input. With several
-// files, the pages are extracted concurrently through the batch path; a
-// "== file ==" header precedes each page's output, and byte-identical
-// files are extracted once and share the result (marked "coalesced" in
-// -stats output).
+// files, the pages are extracted concurrently through the streaming path;
+// a "== file ==" header precedes each page's output, in argument order,
+// and byte-identical files in flight together are extracted once and share
+// the result (marked "coalesced" in -stats output).
 //
 //	-json            emit the semantic model as JSON instead of text
 //	-tokens          also list the tokenized form
@@ -35,8 +35,8 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -112,13 +112,14 @@ func run(o cliOptions, args []string) error {
 		}
 		opts.Tracer = formext.NewTracer(formext.NewJSONLSink(w))
 	}
-	if len(args) > 1 {
-		return runBatch(o, opts, args)
-	}
-
+	// Built before the multi-file branch too, so a bad grammar fails up
+	// front instead of once per page.
 	ex, err := formext.New(opts)
 	if err != nil {
 		return err
+	}
+	if len(args) > 1 {
+		return runBatch(o, opts, args)
 	}
 
 	var src []byte
@@ -140,10 +141,10 @@ func run(o cliOptions, args []string) error {
 	return printResult(o, res)
 }
 
-// runBatch extracts several files through ExtractAll: pages run
-// concurrently, byte-identical files extract once (the duplicates share the
-// frozen result), and every page's output appears under its own header in
-// argument order.
+// runBatch extracts several files through ExtractStream: pages run
+// concurrently, and every page's output appears under its own header in
+// argument order (results are collected by Seq, which is the argument
+// index because the files are fed in order).
 func runBatch(o cliOptions, opts formext.Options, args []string) error {
 	pages := make([]string, len(args))
 	for i, name := range args {
@@ -153,29 +154,31 @@ func runBatch(o cliOptions, opts formext.Options, args []string) error {
 		}
 		pages[i] = string(src)
 	}
-	results, err := formext.ExtractAll(pages, formext.BatchOptions{Options: opts})
-	var batchErr *formext.BatchError
-	if err != nil && !errors.As(err, &batchErr) {
-		return err
-	}
-	failed := make(map[int]error)
-	if batchErr != nil {
-		for _, pe := range batchErr.Pages {
-			failed[pe.Page] = pe.Err
+	in := make(chan formext.Page)
+	go func() {
+		defer close(in)
+		for _, page := range pages {
+			in <- formext.Page{HTML: page}
 		}
+	}()
+	results := make([]formext.PageResult, len(args))
+	for pr := range formext.ExtractStream(context.Background(), in, formext.StreamOptions{Options: opts}) {
+		results[pr.Seq] = pr
 	}
-	for i, name := range args {
-		fmt.Printf("== %s ==\n", name)
-		if results[i] == nil {
-			fmt.Fprintf(os.Stderr, "formext: %s: %v\n", name, failed[i])
+	failed := 0
+	for i, pr := range results {
+		fmt.Printf("== %s ==\n", args[i])
+		if pr.Err != nil {
+			fmt.Fprintf(os.Stderr, "formext: %s: %v\n", args[i], pr.Err)
+			failed++
 			continue
 		}
-		if perr := printResult(o, results[i]); perr != nil {
+		if perr := printResult(o, pr.Result); perr != nil {
 			return perr
 		}
 	}
-	if batchErr != nil {
-		return fmt.Errorf("%d of %d pages failed", len(batchErr.Pages), len(args))
+	if failed > 0 {
+		return fmt.Errorf("%d of %d pages failed", failed, len(args))
 	}
 	return nil
 }

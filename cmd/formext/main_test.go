@@ -134,9 +134,44 @@ func TestRunErrors(t *testing.T) {
 	if err := run(cliOptions{explain: -1}, []string{"/nonexistent.html"}); err == nil {
 		t.Error("missing input file should error")
 	}
+	bad := withFile(t, "terminals text; start Broken;")
+	page := withFile(t, sample)
+	out, err := capture(t, func() error {
+		return run(cliOptions{grammarFile: bad, explain: -1}, []string{page, page})
+	})
+	if err == nil || out != "" {
+		t.Errorf("invalid grammar with several files: err %v, output %q; want an error before any output", err, out)
+	}
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// TestRunMultiFile checks multi-file mode: each page's output appears under
+// its own header in argument order, and a duplicate file prints exactly
+// what its original prints — which is also what a single-file run prints.
+func TestRunMultiFile(t *testing.T) {
+	other := `<form>Title <input type="text" name="t"></form>`
+	a, b, dup := withFile(t, sample), withFile(t, other), withFile(t, sample)
+	single := func(p string) string {
+		out, err := capture(t, func() error { return run(cliOptions{explain: -1}, []string{p}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	out, err := capture(t, func() error {
+		return run(cliOptions{explain: -1}, []string{a, b, dup})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "== " + a + " ==\n" + single(a) +
+		"== " + b + " ==\n" + single(b) +
+		"== " + dup + " ==\n" + single(a)
+	if out != want {
+		t.Errorf("multi-file output:\n%s\nwant:\n%s", out, want)
+	}
+}
 
 // TestRunTrace checks that -trace writes one JSON object whose span tree
 // covers every pipeline stage, with the parse span carrying the parser's

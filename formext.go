@@ -18,6 +18,12 @@
 //	ex, err := formext.New()
 //	res, err := ex.ExtractHTML(htmlSource)
 //	for _, c := range res.Model.Conditions { fmt.Println(c) }
+//
+// There is one entry point per job: Extractor.ExtractBytes for one page
+// under a context (ExtractHTML is its string convenience, ExtractTokens
+// starts from tokens), Pool.ExtractBytes for request-scale serving,
+// ExtractKeyBytes for routing a page by its cache key before extracting
+// it, and ExtractStream for many pages.
 package formext
 
 import (
@@ -138,7 +144,7 @@ type Stats struct {
 	CacheHit bool `json:",omitempty"`
 	// Coalesced marks a result obtained by waiting on an identical
 	// in-flight extraction (a cache singleflight, or a byte-identical page
-	// deduplicated within one ExtractAll batch) instead of running one.
+	// in flight in the same ExtractStream) instead of running one.
 	Coalesced bool `json:",omitempty"`
 	// Degraded lists, in pipeline order, every way this extraction was cut
 	// short by an input budget, the parse budget, or cancellation: depth
@@ -194,7 +200,7 @@ const (
 // its caller — it holds the per-parse slabs the instances were carved from,
 // and its parse trees memoize text lazily, so it must be confined to one
 // goroutine unless frozen first. A Result served from a Cache (or a
-// deduplicated ExtractAll page) is a caller-owned Result struct over shared
+// coalesced ExtractStream page) is a caller-owned Result struct over shared
 // frozen artifacts: Model, Tokens, Trees and Form are immutable and safe
 // for any number of concurrent readers, and must not be mutated. Freeze
 // converts the former into the latter.
@@ -303,21 +309,16 @@ type Options struct {
 	// the caller's context, by contrast, is an error: the caller asked the
 	// work to stop, so nobody is waiting for the partial answer.
 	ParseBudget time.Duration
-	// InterpretedEval evaluates grammar expressions by walking their ASTs
-	// instead of through the compiled per-grammar evaluation plan. The two
-	// modes produce identical results; the interpreter survives as the
-	// semantic reference (and differential-test oracle) for the compiler.
-	InterpretedEval bool
 	// Tracer, when non-nil and enabled, records a Trace per extraction:
 	// per-stage spans with structured events (fix-point groups, prunes,
 	// merge conflicts) delivered to the tracer's sink, plus pprof stage
 	// labels. Nil (the default) keeps the pipeline on the untraced path,
 	// whose only added cost is the per-stage wall clock reads.
 	Tracer *Tracer
-	// Cache, when non-nil, is consulted by ExtractHTML/ExtractHTMLContext
-	// (and by Pool.Extract and ExtractAll when the options flow through
-	// them): results are addressed by the content hash of the page bytes
-	// plus the grammar and options fingerprints, a hit skips the whole
+	// Cache, when non-nil, is consulted by ExtractHTML and ExtractBytes
+	// (and by Pool.ExtractBytes and ExtractStream when the options flow
+	// through them): results are addressed by the content hash of the page
+	// bytes plus the grammar and options fingerprints, a hit skips the whole
 	// pipeline, and concurrent identical requests coalesce into a single
 	// extraction. Cached results are frozen and shared — see the Result
 	// ownership rule. One Cache may back any number of extractors with
@@ -392,7 +393,6 @@ func newWithGrammar(g *grammar.Grammar, o Options) (*Extractor, error) {
 		DisablePreferences: o.DisablePreferences,
 		DisableScheduling:  o.DisableScheduling,
 		MaxInstances:       o.MaxInstances,
-		Interpreted:        o.InterpretedEval,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("formext: %w", err)
@@ -421,7 +421,8 @@ func newWithGrammar(g *grammar.Grammar, o Options) (*Extractor, error) {
 	}
 	// The key prefix is computed unconditionally — one hash at construction —
 	// because keys are the coordination currency beyond caching: the cluster
-	// tier routes by them (ExtractKey) whether or not a local cache exists.
+	// tier routes by them (ExtractKeyBytes) whether or not a local cache
+	// exists.
 	e.keyPrefix = cachePrefix(g, o, eng.Viewport, maxTokens, o.ParseBudget > 0)
 	return e, nil
 }
@@ -429,14 +430,15 @@ func newWithGrammar(g *grammar.Grammar, o Options) (*Extractor, error) {
 // Grammar returns the grammar the extractor parses against.
 func (e *Extractor) Grammar() *Grammar { return e.grammar }
 
-// ExtractHTML runs the full pipeline on HTML source.
+// ExtractHTML runs the full pipeline on HTML source held as a string:
+// ExtractBytes without cancellation.
 func (e *Extractor) ExtractHTML(src string) (*Result, error) {
-	return e.ExtractHTMLContext(context.Background(), src)
+	return e.ExtractBytes(context.Background(), viewBytes(src))
 }
 
-// ExtractHTMLContext is ExtractHTML under caller cancellation. The context
-// is checked at coarse checkpoints throughout every stage; when it ends,
-// the pipeline stops where it is and returns the partial Result it
+// ExtractBytes runs the full pipeline on a page under caller cancellation.
+// The context is checked at coarse checkpoints throughout every stage; when
+// it ends, the pipeline stops where it is and returns the partial Result it
 // accumulated — tokens, trees, stats, Stats.Degraded — together with an
 // error wrapping the context's. The Result is non-nil even on error, so
 // servers can log where a cancelled page's time went. (One exception: with
@@ -451,17 +453,13 @@ func (e *Extractor) ExtractHTML(src string) (*Result, error) {
 // With Options.Cache set, the raw page bytes are hashed first: a hit
 // returns a shared frozen result without running any stage, and concurrent
 // identical misses coalesce into one extraction.
-func (e *Extractor) ExtractHTMLContext(ctx context.Context, src string) (*Result, error) {
-	return e.ExtractBytes(ctx, viewBytes(src))
-}
-
-// ExtractBytes is ExtractHTMLContext over a byte buffer. The whole front
-// end — cache-key hashing, lexing, the DOM — reads src in place, and the
-// resulting tree and tokens alias it wherever the syntax allows, so src
-// must not be modified for as long as the Result (or any cache holding it)
-// is alive. Callers that reuse their buffer must copy first; callers
-// serving pages already held as []byte (formserve request bodies, crawler
-// fetches) skip the page-sized string conversion the string API forces.
+//
+// The whole front end — cache-key hashing, lexing, the DOM — reads src in
+// place, and the resulting tree and tokens alias it wherever the syntax
+// allows, so src must not be modified for as long as the Result (or any
+// cache holding it) is alive. Callers that reuse their buffer must copy
+// first; callers serving pages already held as []byte (formserve request
+// bodies, crawler fetches) skip a page-sized string conversion.
 func (e *Extractor) ExtractBytes(ctx context.Context, src []byte) (*Result, error) {
 	if e.cache != nil {
 		return cachedExtract(ctx, e.cache, e.keyPrefix, src, e.tracer, e)
@@ -473,15 +471,6 @@ func (e *Extractor) ExtractBytes(ctx context.Context, src []byte) (*Result, erro
 // cache outcome event into the extraction's trace.
 func (e *Extractor) runExtract(ctx context.Context, src []byte, cacheEvent string) (*Result, error) {
 	return e.extractBytesEvent(ctx, src, cacheEvent)
-}
-
-// extractHTML is ExtractHTMLContext without the cache in front: the
-// returned Result is always non-nil, carrying the tokens and stage timings
-// accumulated up to the point of failure, so a failed page in a batch still
-// reports where its time went. Panics anywhere in the pipeline are
-// recovered into a *PanicError carrying the pre-failure stats.
-func (e *Extractor) extractHTML(ctx context.Context, src string) (*Result, error) {
-	return e.extractBytesEvent(ctx, viewBytes(src), "")
 }
 
 // extractBytesEvent is the uncached pipeline with the cache outcome
@@ -593,16 +582,12 @@ func (e *Extractor) extractBytesEvent(ctx context.Context, src []byte, cacheEven
 // Token IDs must be dense and in render order; malformed token sets
 // (nil entries, sparse, duplicated or out-of-range IDs) are rejected up
 // front with a descriptive error rather than crashing the parse.
-func (e *Extractor) ExtractTokens(toks []*Token) (*Result, error) {
-	return e.ExtractTokensContext(context.Background(), toks)
-}
-
-// ExtractTokensContext is ExtractTokens under caller cancellation, with the
-// same partial-result and budget semantics as ExtractHTMLContext.
-func (e *Extractor) ExtractTokensContext(ctx context.Context, toks []*Token) (res *Result, err error) {
+// Options.ParseBudget applies as in ExtractBytes.
+func (e *Extractor) ExtractTokens(toks []*Token) (res *Result, err error) {
 	if verr := core.ValidateTokens(toks); verr != nil {
 		return nil, fmt.Errorf("formext: %w", verr)
 	}
+	ctx := context.Background()
 	budgetCtx, cancel := e.budgetContext(ctx)
 	defer cancel()
 	tr := e.tracer.Start("extract-tokens")

@@ -177,7 +177,7 @@ func TestCancelledCallerGetsPartialResultAndError(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ex.ExtractHTMLContext(ctx, widePage(3000))
+	res, err := ex.ExtractBytes(ctx, []byte(widePage(3000)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -246,13 +246,13 @@ func TestPoolDropsPoisonedExtractor(t *testing.T) {
 		t.Fatal(err)
 	}
 	arm = true
-	_, err = pool.Extract("<form>A <input type=text name=a></form>")
+	_, err = pool.ExtractBytes(context.Background(), []byte("<form>A <input type=text name=a></form>"))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PanicError from the armed extraction, got %v", err)
 	}
 	// The pool must still serve after dropping the poisoned extractor.
-	res, err := pool.Extract("<form>B <input type=text name=b></form>")
+	res, err := pool.ExtractBytes(context.Background(), []byte("<form>B <input type=text name=b></form>"))
 	if err != nil || len(res.Model.Conditions) == 0 {
 		t.Fatalf("pool did not recover after a contained panic: %v", err)
 	}
@@ -282,29 +282,20 @@ func TestPoolCachesCompiledGrammar(t *testing.T) {
 	pool.Put(ex2)
 }
 
-// TestExtractAllCancelledContext verifies batch cancellation: a cancelled
-// BatchOptions.Context fails every page with the context's error instead of
-// hanging or crashing.
+// TestExtractAllCancelledContext verifies stream cancellation: a batch
+// streamed under an already-cancelled context fails every page it reports
+// with the context's error, and the stream closes instead of hanging.
+// (The name predates the removal of the fixed-slice batch wrapper.)
 func TestExtractAllCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pages := []string{widePage(5), widePage(5), widePage(5)}
-	res, err := ExtractAll(pages, BatchOptions{Workers: 2, Context: ctx})
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("want *BatchError, got %v", err)
-	}
-	if len(be.Pages) != len(pages) {
-		t.Fatalf("failed pages = %d, want all %d", len(be.Pages), len(pages))
-	}
-	for _, pe := range be.Pages {
-		if !errors.Is(pe.Err, context.Canceled) {
-			t.Errorf("page %d error = %v, want context.Canceled", pe.Page, pe.Err)
+	for i, pr := range extractAll(t, ctx, pages, StreamOptions{Workers: 2}) {
+		if pr == nil {
+			continue // shed by the cancelled stream: charged to the cancellation
 		}
-	}
-	for i, r := range res {
-		if r != nil {
-			t.Errorf("page %d has a result despite pre-cancelled batch", i)
+		if !errors.Is(pr.Err, context.Canceled) || pr.Result != nil {
+			t.Errorf("page %d = %v / %v, want context.Canceled and no result", i, pr.Err, pr.Result)
 		}
 	}
 }
@@ -318,7 +309,7 @@ func TestExtractAllContainsPanickingPage(t *testing.T) {
 		if strings.Contains(src, "bomb") {
 			panic("injected page bomb")
 		}
-		return ex.extractHTML(ctx, src)
+		return ex.ExtractBytes(ctx, []byte(src))
 	}
 	t.Cleanup(func() { extractPage = orig })
 
@@ -327,20 +318,15 @@ func TestExtractAllContainsPanickingPage(t *testing.T) {
 		"<form>bomb <input type=text name=b></form>",
 		"<form>C <input type=text name=c></form>",
 	}
-	res, err := ExtractAll(pages, BatchOptions{Workers: 2})
-	var be *BatchError
-	if !errors.As(err, &be) || len(be.Pages) != 1 {
-		t.Fatalf("err = %v, want a BatchError with exactly the bombed page", err)
-	}
+	got := extractAll(t, context.Background(), pages, StreamOptions{Workers: 2})
 	var pe *PanicError
-	if !errors.As(be.Pages[0].Err, &pe) {
-		t.Fatalf("page error = %v, want *PanicError", be.Pages[0].Err)
+	if got[1] == nil || !errors.As(got[1].Err, &pe) {
+		t.Fatalf("bombed page = %+v, want a *PanicError", got[1])
 	}
-	if be.Pages[0].Page != 1 {
-		t.Errorf("failed page = %d, want 1", be.Pages[0].Page)
-	}
-	if res[0] == nil || res[2] == nil {
-		t.Error("healthy pages lost to the bombed page")
+	for _, i := range []int{0, 2} {
+		if got[i] == nil || got[i].Err != nil || got[i].Result == nil {
+			t.Errorf("healthy page %d lost to the bombed page: %+v", i, got[i])
+		}
 	}
 }
 
@@ -417,7 +403,7 @@ func TestConcurrentHostileAndHealthy(t *testing.T) {
 			src = hostile
 		}
 		go func(src string) {
-			res, err := pool.Extract(src)
+			res, err := pool.ExtractBytes(context.Background(), []byte(src))
 			if err != nil {
 				done <- err
 				return

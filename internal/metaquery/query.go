@@ -40,7 +40,13 @@ type Constraint struct {
 	Value string `json:"value"`
 }
 
+// String renders the constraint in query syntax. A value starting with
+// "=" after "<" or ">" is set off by a space: written flush, "price> =10"
+// would reparse as "price>=10", a different operator and value.
 func (c Constraint) String() string {
+	if (c.Op == OpLt || c.Op == OpGt) && strings.HasPrefix(c.Value, "=") {
+		return c.Attr + string(c.Op) + " " + c.Value
+	}
 	return c.Attr + string(c.Op) + c.Value
 }
 

@@ -1,6 +1,7 @@
 package metaquery
 
 import (
+	"reflect"
 	"testing"
 
 	"formext/internal/model"
@@ -73,6 +74,51 @@ func TestFormatQueryRoundTrip(t *testing.T) {
 	if got := FormatQuery(cons); got != q {
 		t.Fatalf("FormatQuery = %q, want %q", got, q)
 	}
+	// A value starting with "=" after "<" or ">" must not fuse with the
+	// operator when rendered: "price>=10" is a different query.
+	for _, q := range []string{"[price> =10]", "[price< =10]"} {
+		cons, err := ParseQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseQuery(FormatQuery(cons))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, cons) {
+			t.Errorf("%s: round trip %#v -> %q -> %#v", q, cons, FormatQuery(cons), again)
+		}
+	}
+}
+
+// FuzzQueryRoundTrip: any query ParseQuery accepts must survive
+// FormatQuery unchanged, so an answer echoes the query the engine ran.
+func FuzzQueryRoundTrip(f *testing.F) {
+	for _, s := range []string{
+		"[destination=Paris; date<2026-09-01; passengers>=2]",
+		"[price> =10]",
+		"[price< =10]",
+		"price<==5",
+		"[[a=1]]",
+		"a=<5; b= ; ;c>x",
+		"[]",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		cons, err := ParseQuery(q)
+		if err != nil {
+			return
+		}
+		out := FormatQuery(cons)
+		again, err := ParseQuery(out)
+		if err != nil {
+			t.Fatalf("%q -> %q: reparse failed: %v", q, out, err)
+		}
+		if !reflect.DeepEqual(again, cons) {
+			t.Fatalf("%q -> %q: %#v reparsed as %#v", q, out, cons, again)
+		}
+	})
 }
 
 func TestMatchValue(t *testing.T) {

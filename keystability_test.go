@@ -23,7 +23,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // thereby visible in review as the fleet-wide cache flush it is.
 
 // goldenKeys is the committed shape: the default grammar's fingerprint and,
-// per option variant, the hex ExtractKey of each corpus page.
+// per option variant, the hex ExtractKeyBytes of each corpus page.
 type goldenKeys struct {
 	GrammarFingerprint string                       `json:"grammarFingerprint"`
 	Variants           map[string]map[string]string `json:"variants"`
@@ -51,7 +51,6 @@ var goldenVariants = map[string]Options{
 	"explicit-dflt":  {Viewport: 800, MaxDepth: DefaultMaxDepth},
 	"prefs-off":      {DisablePreferences: true},
 	"viewport-1024":  {Viewport: 1024},
-	"interpreted":    {InterpretedEval: true},
 	"budgeted":       {ParseBudget: time.Second},
 	"depth-capped-8": {MaxDepth: 8},
 }
@@ -69,10 +68,10 @@ func TestGoldenKeysStableAcrossBuilds(t *testing.T) {
 		}
 		keys := map[string]string{}
 		for pname, page := range goldenCorpus {
-			k := ex.ExtractKey(page)
+			k := ex.ExtractKeyBytes([]byte(page))
 			// The pool and a bare extractor must agree — they are two entry
 			// points to one derivation.
-			if pk := pool.ExtractKey(page); pk != k {
+			if pk := pool.ExtractKeyBytes([]byte(page)); pk != k {
 				t.Errorf("variant %s page %s: pool key %x != extractor key %x", vname, pname, pk, k)
 			}
 			keys[pname] = hex.EncodeToString(k[:])
@@ -145,20 +144,20 @@ func TestGoldenKeySemantics(t *testing.T) {
 	page := goldenCorpus["simple-text"]
 
 	// Explicitly spelling the defaults is the same configuration.
-	if a, b := ex(Options{}).ExtractKey(page), ex(Options{Viewport: 800, MaxDepth: DefaultMaxDepth}).ExtractKey(page); a != b {
+	if a, b := ex(Options{}).ExtractKeyBytes([]byte(page)), ex(Options{Viewport: 800, MaxDepth: DefaultMaxDepth}).ExtractKeyBytes([]byte(page)); a != b {
 		t.Error("explicit default options derive a different key than zero options")
 	}
 	// Observability must not shard: a traced and an untraced process serve
 	// each other's keys.
 	tracer := NewTracer(NewRingSink(4))
-	if a, b := ex(Options{}).ExtractKey(page), ex(Options{Tracer: tracer}).ExtractKey(page); a != b {
+	if a, b := ex(Options{}).ExtractKeyBytes([]byte(page)), ex(Options{Tracer: tracer}).ExtractKeyBytes([]byte(page)); a != b {
 		t.Error("tracer participates in the key; traced and untraced fleets would not share")
 	}
 	// Result-changing options shard; so does the page itself.
-	if a, b := ex(Options{}).ExtractKey(page), ex(Options{DisablePreferences: true}).ExtractKey(page); a == b {
+	if a, b := ex(Options{}).ExtractKeyBytes([]byte(page)), ex(Options{DisablePreferences: true}).ExtractKeyBytes([]byte(page)); a == b {
 		t.Error("DisablePreferences does not change the key")
 	}
-	if a, b := ex(Options{}).ExtractKey(page), ex(Options{}).ExtractKey(page+" "); a == b {
+	if a, b := ex(Options{}).ExtractKeyBytes([]byte(page)), ex(Options{}).ExtractKeyBytes([]byte(page+" ")); a == b {
 		t.Error("distinct pages derive the same key")
 	}
 }

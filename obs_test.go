@@ -5,6 +5,7 @@ package formext
 // tree over the five pipeline stages, and the disabled-path contract.
 
 import (
+	"context"
 	"testing"
 
 	"formext/internal/dataset"
@@ -141,7 +142,7 @@ func TestTracerSharedAcrossPool(t *testing.T) {
 	}
 	ids := map[string]bool{}
 	for i := 0; i < 3; i++ {
-		res, err := pool.Extract(qamHTML)
+		res, err := pool.ExtractBytes(context.Background(), []byte(qamHTML))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,16 +8,10 @@ import (
 	"sync"
 )
 
-// newExtractor is the factory behind Pool validation and ExtractAll; a
-// package variable so tests can inject construction failures (the batch
-// path's regression tests need workers whose extractor construction fails
-// after the up-front validation succeeded).
-var newExtractor = func(o Options) (*Extractor, error) { return New(o) }
-
 // newPooledExtractor builds the pool's miss-path extractors around the
 // pool's cached compiled grammar, so a custom GrammarSource is parsed once
-// at NewPool rather than on every pool miss. A package variable for the
-// same fault-injection reason as newExtractor.
+// at NewPool rather than on every pool miss. A package variable so tests
+// can inject construction failures after NewPool's validation succeeded.
 var newPooledExtractor = func(g *Grammar, o Options) (*Extractor, error) {
 	return newWithGrammar(g, o)
 }
@@ -35,7 +29,7 @@ var newPooledExtractor = func(g *Grammar, o Options) (*Extractor, error) {
 // a tracer to the pool once and gets a per-request Trace.
 //
 // A Pool is safe for concurrent use; it is the serving-path primitive that
-// cmd/formserve and ExtractAll build on.
+// cmd/formserve and ExtractStream build on.
 type Pool struct {
 	opts Options
 	g    *Grammar
@@ -43,7 +37,7 @@ type Pool struct {
 	// cache and keyPrefix are copied from the validation extractor, so the
 	// pool consults the cache (when Options.Cache is set) before drawing an
 	// extractor at all: a hit (or a coalesced wait) costs no pool traffic
-	// and no pipeline work. keyPrefix is always populated — ExtractKey
+	// and no pipeline work. keyPrefix is always populated — ExtractKeyBytes
 	// routes by it with or without a cache.
 	cache     *Cache
 	keyPrefix [32]byte
@@ -60,7 +54,7 @@ func NewPool(opts ...Options) (*Pool, error) {
 	if len(opts) == 1 {
 		o = opts[0]
 	}
-	ex, err := newExtractor(o)
+	ex, err := New(o)
 	if err != nil {
 		return nil, err
 	}
@@ -91,14 +85,11 @@ func (p *Pool) Put(ex *Extractor) {
 	p.pool.Put(ex)
 }
 
-// Extract runs the full pipeline on HTML source using a pooled extractor:
-// Get, ExtractHTML, Put.
-func (p *Pool) Extract(src string) (*Result, error) {
-	return p.ExtractContext(context.Background(), src)
-}
-
-// ExtractContext is Extract under caller cancellation, with the partial
-// result and budget semantics of Extractor.ExtractHTMLContext.
+// ExtractBytes runs the full pipeline on a page using a pooled extractor
+// (Get, Extractor.ExtractBytes, Put), with the cancellation, partial-result
+// and budget semantics of Extractor.ExtractBytes and its aliasing contract:
+// the result (and any cache holding it) reads src in place, so the buffer
+// must not be modified afterwards.
 //
 // It is also a containment boundary: an extraction that panics (a
 // *PanicError from the pipeline, or a raw panic escaping it) never returns
@@ -110,13 +101,6 @@ func (p *Pool) Extract(src string) (*Result, error) {
 // drawn: hits and coalesced requests return a shared frozen result without
 // touching the pool, and only the flight leader of a miss checks an
 // extractor out.
-func (p *Pool) ExtractContext(ctx context.Context, src string) (*Result, error) {
-	return p.ExtractBytes(ctx, viewBytes(src))
-}
-
-// ExtractBytes is ExtractContext over a byte buffer, with the aliasing
-// contract of Extractor.ExtractBytes: the result (and any cache holding it)
-// reads src in place, so the buffer must not be modified afterwards.
 func (p *Pool) ExtractBytes(ctx context.Context, src []byte) (*Result, error) {
 	if p.cache != nil {
 		return cachedExtract(ctx, p.cache, p.keyPrefix, src, p.opts.Tracer, p)

@@ -1,6 +1,7 @@
 package formext_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestPoolExtractMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pool.Extract(dataset.QamHTML)
+	got, err := pool.ExtractBytes(context.Background(), []byte(dataset.QamHTML))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestPoolConcurrentExtract(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				res, err := pool.Extract(dataset.QamHTML)
+				res, err := pool.ExtractBytes(context.Background(), []byte(dataset.QamHTML))
 				if err != nil {
 					errs <- err
 					return

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,12 +25,13 @@ type PageResult struct {
 	ID string
 	// Seq is the page's arrival index on the input channel (0-based).
 	// Results are emitted in completion order, not Seq order; callers that
-	// need input order re-associate by Seq, as ExtractAll does.
+	// need input order re-associate by Seq, as cmd/formext does for its
+	// multi-file mode.
 	Seq int
 	// Result is the extraction outcome; never nil on success. When Err is
 	// non-nil it may still be non-nil, carrying the partial result (tokens,
 	// stage timings, parser counters) accumulated before the failure, with
-	// the same semantics as Extractor.ExtractHTMLContext. A page that waited
+	// the same semantics as Extractor.ExtractBytes. A page that waited
 	// on a failed in-flight duplicate gets the canonical error with a nil
 	// Result: the canonical's partial result is mutable and owned by the
 	// canonical's receiver, so it cannot be shared.
@@ -80,9 +82,10 @@ func (g *StreamGauge) Peak() int64 { return g.peak.Load() }
 
 // StreamOptions configures ExtractStream.
 type StreamOptions struct {
-	// Options are the extractor options applied to every worker; they
-	// compose with streaming exactly as with ExtractAll (pooled extractors,
-	// Options.Cache with singleflight, containment budgets, Tracer spans).
+	// Options are the extractor options applied to every worker: the
+	// workers draw pooled extractors built with them, and Options.Cache
+	// (with singleflight), the containment budgets and Tracer spans apply
+	// to every page.
 	Options Options
 	// Workers is the number of concurrent extractions (default GOMAXPROCS).
 	Workers int
@@ -98,19 +101,19 @@ type StreamOptions struct {
 
 // Worker extractor construction is retried with exponential backoff before
 // a page is failed: a transient construction failure must not strand the
-// pages a worker has yet to draw (the historical ExtractAll bug: a worker
-// whose pool.Get failed exited permanently, charging every remaining
-// queued page a construction error a retry could have avoided). Package
-// variables so regression tests can tighten the schedule.
+// pages a worker has yet to draw (a historical batch bug: a worker whose
+// pool.Get failed exited permanently, charging every remaining queued page
+// a construction error a retry could have avoided). Package variables so
+// regression tests can tighten the schedule.
 var (
 	getExtractorAttempts = 4
 	getExtractorBackoff  = time.Millisecond
 )
 
 // ExtractStream extracts an unbounded stream of pages concurrently — the
-// crawl-scale ingest path: where ExtractAll materializes a whole batch in
-// memory, ExtractStream holds at most MaxInFlight pages at once no matter
-// how many the producer sends.
+// one entry point for many pages, from a handful of files to a crawl of
+// 10^5 sources (the paper's integration scenario, Section 1). It holds at
+// most MaxInFlight pages at once no matter how many the producer sends.
 //
 // Channel contract:
 //
@@ -139,7 +142,8 @@ var (
 // cancelled stream may shed results — a consumer that stopped reading must
 // not be able to wedge the workers — so exact accounting after
 // cancellation is the caller's job: track which Seqs arrived and charge
-// the rest to the cancellation, as ExtractAll does.
+// the rest to the cancellation. Without cancellation every admitted Seq is
+// delivered exactly once.
 //
 // An invalid configuration (a malformed GrammarSource, for instance) has
 // no up-front error to return; the stream still honors the contract by
@@ -155,37 +159,6 @@ func ExtractStream(ctx context.Context, in <-chan Page, opt StreamOptions) <-cha
 		go failAll(ctx, in, out, err)
 		return out
 	}
-	return extractStream(ctx, in, opt, pool)
-}
-
-// failAll is the invalid-configuration stream: one error result per page,
-// preserving the one-result-per-admitted-page contract.
-func failAll(ctx context.Context, in <-chan Page, out chan<- PageResult, err error) {
-	defer close(out)
-	done := ctx.Done()
-	for seq := 0; ; seq++ {
-		var p Page
-		var ok bool
-		select {
-		case p, ok = <-in:
-		case <-done:
-			return
-		}
-		if !ok {
-			return
-		}
-		select {
-		case out <- PageResult{ID: p.ID, Seq: seq, Err: err}:
-		case <-done:
-			return
-		}
-	}
-}
-
-// extractStream is ExtractStream over an already-validated pool; ExtractAll
-// calls it directly so configuration errors keep their historical up-front
-// return path.
-func extractStream(ctx context.Context, in <-chan Page, opt StreamOptions, pool *Pool) <-chan PageResult {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -215,6 +188,30 @@ func extractStream(ctx context.Context, in <-chan Page, opt StreamOptions, pool 
 	}
 	go s.admit(in)
 	return s.out
+}
+
+// failAll is the invalid-configuration stream: one error result per page,
+// preserving the one-result-per-admitted-page contract.
+func failAll(ctx context.Context, in <-chan Page, out chan<- PageResult, err error) {
+	defer close(out)
+	done := ctx.Done()
+	for seq := 0; ; seq++ {
+		var p Page
+		var ok bool
+		select {
+		case p, ok = <-in:
+		case <-done:
+			return
+		}
+		if !ok {
+			return
+		}
+		select {
+		case out <- PageResult{ID: p.ID, Seq: seq, Err: err}:
+		case <-done:
+			return
+		}
+	}
 }
 
 // stream is one ExtractStream run: an admitter goroutine metering pages
@@ -313,6 +310,28 @@ func (s *stream) worker() {
 	}
 }
 
+// extractPage is the per-page extraction the stream workers run; a package
+// variable so tests can inject per-page failures (the real pipeline is
+// total and never fails on well-formed configurations). Its Result is
+// non-nil even on error, carrying the stage timings accumulated before the
+// failure.
+var extractPage = func(ctx context.Context, ex *Extractor, src string) (*Result, error) {
+	return ex.ExtractBytes(ctx, viewBytes(src))
+}
+
+// safeExtractPage runs one page with a worker-local panic boundary: a panic
+// that escapes the extractor's own containment (or an injected fault)
+// becomes a *PanicError instead of killing the worker goroutine — and with
+// it the process.
+func safeExtractPage(ctx context.Context, ex *Extractor, src string) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return extractPage(ctx, ex, src)
+}
+
 // process runs one canonical page end to end: extractor draw (with retry),
 // extraction, flight resolution, delivery.
 func (s *stream) process(job streamJob, exp **Extractor) {
@@ -393,8 +412,7 @@ func (s *stream) await(seq int, p Page, fl *streamFlight) {
 // deliver hands one result to the consumer and releases the page's
 // admission slot. After cancellation the send may be shed instead: the
 // consumer may have stopped reading, and a worker wedged on a dead channel
-// would leak — accounting for shed pages belongs to the caller (ExtractAll
-// charges every unreported page the context error).
+// would leak — accounting for shed pages belongs to the caller.
 func (s *stream) deliver(pr PageResult) {
 	select {
 	case s.out <- pr:

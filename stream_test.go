@@ -4,9 +4,10 @@ package formext
 // exceed MaxInFlight, even against a slow consumer), backpressure (a
 // producer outrunning the stream blocks on its own send), completion-order
 // emission, in-flight duplicate coalescing, cancellation wind-down, the
-// invalid-configuration path, and the differential gate proving the
-// ExtractAll collect-wrapper matches both a manual stream collection and
-// the pre-streaming legacy implementation.
+// invalid-configuration path, and batch collection by Seq (the shape
+// cmd/formext's multi-file mode uses). The TestExtractAll* names predate
+// the removal of the fixed-slice wrapper; they now pin the same behaviour
+// on a batch collected from the stream by extractAll below.
 
 import (
 	"context"
@@ -31,6 +32,33 @@ func streamPages(pages []string) <-chan Page {
 		}
 	}()
 	return in
+}
+
+// extractAll streams pages in order under ctx and collects the results by
+// Seq, which is each page's index. A nil entry is a page the stream never
+// reported, which only cancellation allows; a page reported twice fails
+// the test.
+func extractAll(t *testing.T, ctx context.Context, pages []string, opt StreamOptions) []*PageResult {
+	t.Helper()
+	in := make(chan Page)
+	go func() {
+		defer close(in)
+		for _, p := range pages {
+			select {
+			case in <- Page{HTML: p}:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	got := make([]*PageResult, len(pages))
+	for pr := range ExtractStream(ctx, in, opt) {
+		if got[pr.Seq] != nil {
+			t.Fatalf("seq %d delivered twice", pr.Seq)
+		}
+		got[pr.Seq] = &pr
+	}
+	return got
 }
 
 // collectStream drains a result channel into a map keyed by Seq.
@@ -63,7 +91,7 @@ func TestExtractStreamBoundedInFlightSlowConsumer(t *testing.T) {
 			}
 		}
 		defer cur.Add(-1)
-		return ex.ExtractHTMLContext(ctx, src)
+		return ex.ExtractBytes(ctx, []byte(src))
 	}
 	t.Cleanup(func() { extractPage = orig })
 
@@ -149,7 +177,7 @@ func TestExtractStreamEmitsAsCompleted(t *testing.T) {
 		if strings.Contains(src, "slow") {
 			<-release
 		}
-		return ex.ExtractHTMLContext(ctx, src)
+		return ex.ExtractBytes(ctx, []byte(src))
 	}
 	t.Cleanup(func() { extractPage = orig })
 
@@ -185,7 +213,7 @@ func TestExtractStreamCoalescesInFlightDuplicates(t *testing.T) {
 	extractPage = func(ctx context.Context, ex *Extractor, src string) (*Result, error) {
 		runs.Add(1)
 		<-gate
-		return ex.ExtractHTMLContext(ctx, src)
+		return ex.ExtractBytes(ctx, []byte(src))
 	}
 	t.Cleanup(func() { extractPage = orig })
 
@@ -382,109 +410,84 @@ func TestExtractStreamSoak(t *testing.T) {
 	}
 }
 
-// TestExtractAllDifferentialAgainstStream proves the collect-wrapper and a
-// manual ExtractStream collection agree over the example corpus, duplicate
-// fan-out included.
-func TestExtractAllDifferentialAgainstStream(t *testing.T) {
+func TestExtractAllMatchesSequential(t *testing.T) {
 	srcs := dataset.NewSource()
-	var pages []string
-	for _, s := range srcs {
-		pages = append(pages, s.HTML)
+	pages := make([]string, len(srcs))
+	for i, s := range srcs {
+		pages[i] = s.HTML
 	}
-	pages = append(pages, pages[0], pages[3], "") // duplicates and an empty page
-
-	batch, err := ExtractAll(pages, BatchOptions{Workers: 4})
+	got := extractAll(t, context.Background(), pages, StreamOptions{Workers: 4})
+	ex, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	streamed := make([]*Result, len(pages))
-	out := ExtractStream(context.Background(), streamPages(pages),
-		StreamOptions{Workers: 4})
-	for pr := range out {
-		if pr.Err != nil {
-			t.Fatalf("seq %d failed: %v", pr.Seq, pr.Err)
+	for i, page := range pages {
+		want, err := ex.ExtractHTML(page)
+		if err != nil {
+			t.Fatal(err)
 		}
-		streamed[pr.Seq] = pr.Result
+		if got[i] == nil || got[i].Err != nil {
+			t.Fatalf("page %d missing or failed: %+v", i, got[i])
+		}
+		if resultJSON(t, got[i].Result) != resultJSON(t, want) {
+			t.Errorf("page %d: streamed result differs from sequential extraction", i)
+		}
 	}
+}
+
+func TestExtractAllEdgeCases(t *testing.T) {
+	if got := extractAll(t, context.Background(), nil, StreamOptions{Workers: 3}); len(got) != 0 {
+		t.Errorf("empty stream delivered %d results", len(got))
+	}
+	got := extractAll(t, context.Background(),
+		[]string{"", "<form>A <input type=text name=a></form>"}, StreamOptions{Workers: 8})
+	for i, pr := range got {
+		if pr == nil || pr.Err != nil || pr.Result == nil {
+			t.Errorf("page %d of a small stream: %+v", i, pr)
+		}
+	}
+}
+
+// batchPages returns n distinguishable single-condition pages plus the
+// attribute label each should extract.
+func batchPages(n int) ([]string, []string) {
+	pages := make([]string, n)
+	labels := make([]string, n)
 	for i := range pages {
-		if batch[i] == nil || streamed[i] == nil {
-			t.Fatalf("page %d missing (batch %v, stream %v)", i, batch[i], streamed[i])
-		}
-		if resultJSON(t, batch[i]) != resultJSON(t, streamed[i]) {
-			t.Errorf("page %d: ExtractAll and ExtractStream results differ", i)
-		}
+		labels[i] = fmt.Sprintf("Field%02d", i)
+		pages[i] = fmt.Sprintf("<form>%s <input type=text name=f%d></form>", labels[i], i)
 	}
+	return pages, labels
 }
 
-// TestExtractAllDifferentialAgainstLegacy is the refactor gate: the
-// streaming collect-wrapper must match the pre-streaming implementation —
-// byte-identical models, identical nil entries, identical error accounting
-// — over the example corpus with duplicates and injected per-page failures.
-func TestExtractAllDifferentialAgainstLegacy(t *testing.T) {
-	orig := extractPage
-	extractPage = func(ctx context.Context, ex *Extractor, src string) (*Result, error) {
-		if strings.Contains(src, "FAILPAGE") {
-			return nil, errors.New("injected failure: FAILPAGE")
-		}
-		return ex.ExtractHTMLContext(ctx, src)
-	}
-	t.Cleanup(func() { extractPage = orig })
-
-	srcs := dataset.NewSource()
-	var pages []string
-	for _, s := range srcs[:12] {
-		pages = append(pages, s.HTML)
-	}
-	// Duplicates, a failing page, a duplicate of the failing page, an empty
-	// page — the accounting corners in one corpus.
-	pages = append(pages, pages[2], "<form>FAILPAGE</form>", pages[5], "<form>FAILPAGE</form>", "")
-
-	for _, workers := range []int{1, 4} {
-		newRes, newErr := ExtractAll(pages, BatchOptions{Workers: workers})
-		oldRes, oldErr := extractAllLegacy(pages, BatchOptions{Workers: workers})
-		if len(newRes) != len(oldRes) {
-			t.Fatalf("workers=%d: result lengths differ: %d vs %d", workers, len(newRes), len(oldRes))
-		}
-		for i := range pages {
-			if (newRes[i] == nil) != (oldRes[i] == nil) {
-				t.Errorf("workers=%d page %d: nil-ness differs (new nil=%v, legacy nil=%v)",
-					workers, i, newRes[i] == nil, oldRes[i] == nil)
-				continue
-			}
-			if newRes[i] == nil {
-				continue
-			}
-			if resultJSON(t, newRes[i]) != resultJSON(t, oldRes[i]) {
-				t.Errorf("workers=%d page %d: results differ from legacy", workers, i)
-			}
-			if newRes[i].Stats.Coalesced != oldRes[i].Stats.Coalesced {
-				t.Errorf("workers=%d page %d: Coalesced marker differs", workers, i)
-			}
-		}
-		newPE, oldPE := batchErrorPages(t, newErr), batchErrorPages(t, oldErr)
-		if len(newPE) != len(oldPE) {
-			t.Fatalf("workers=%d: failed-page counts differ: %v vs %v", workers, newPE, oldPE)
-		}
-		for i := range newPE {
-			if newPE[i].Page != oldPE[i].Page || newPE[i].Err.Error() != oldPE[i].Err.Error() {
-				t.Errorf("workers=%d failure %d differs: new %v, legacy %v",
-					workers, i, &newPE[i], &oldPE[i])
-			}
-		}
-	}
-}
-
-// batchErrorPages unwraps a batch error into its page list (nil error →
-// empty list); any other error type fails the test.
-func batchErrorPages(t *testing.T, err error) []PageError {
+// checkOrder streams labelled pages and verifies that collecting by Seq
+// restores input order: page i's extracted condition carries page i's
+// label.
+func checkOrder(t *testing.T, n int, opt StreamOptions) {
 	t.Helper()
-	if err == nil {
-		return nil
+	pages, labels := batchPages(n)
+	got := extractAll(t, context.Background(), pages, opt)
+	for i, pr := range got {
+		if pr == nil || pr.Err != nil {
+			t.Fatalf("page %d missing or failed: %+v", i, pr)
+		}
+		if c := pr.Result.Model.Conditions; len(c) != 1 || c[0].Attribute != labels[i] {
+			t.Errorf("page %d: conditions %+v, want attribute %s", i, c, labels[i])
+		}
 	}
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("error type = %T, want *BatchError", err)
-	}
-	return be.Pages
+}
+
+func TestExtractAllOrderMoreWorkersThanPages(t *testing.T) {
+	checkOrder(t, 3, StreamOptions{Workers: 16})
+}
+
+func TestExtractAllOrderSingleWorker(t *testing.T) {
+	checkOrder(t, 6, StreamOptions{Workers: 1})
+}
+
+// TestExtractAllOrderPooled is the pool-backed default path under
+// contention: many small pages, default worker count, run under -race by
+// the tier-1 target.
+func TestExtractAllOrderPooled(t *testing.T) {
+	checkOrder(t, 32, StreamOptions{})
 }
