@@ -2,9 +2,9 @@
 # full test suite under the race detector (the concurrent serving path —
 # pool, stream, formserve — is exercised by design), and keep the compiled
 # evaluation plan differentially equal to the interpreted oracle.
-.PHONY: check build vet test parity guards hostile bench bench-smoke bench-cache bench-frontend bench-parser bench-stream cluster-smoke bench-cluster bench-query
+.PHONY: check build vet test benchtest parity guards hostile bench bench-smoke bench-cache bench-frontend bench-parser bench-stream cluster-smoke bench-cluster bench-query
 
-check: build vet test parity guards
+check: build vet test benchtest parity guards
 
 build:
 	go build ./...
@@ -18,6 +18,11 @@ vet:
 
 test:
 	go test -race ./...
+
+# The benchmark is a nested module, so `./...` skips its tests too: its
+# metric helpers and a smoke run of the workloads (~20 s, without -race).
+benchtest:
+	cd benchmark && go test ./...
 
 # Differential gate for the parser's two evaluation modes: the compiled
 # per-grammar plan must match the interpreted Expr walker instance-for-

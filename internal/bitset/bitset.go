@@ -228,6 +228,29 @@ func (s Set) Equal(t Set) bool {
 	return true
 }
 
+// Next returns the smallest member >= i, or -1 when there is none.
+// Iterating `for m := s.Next(0); m >= 0; m = s.Next(m + 1)` visits the
+// members in ascending order without allocating.
+func (s Set) Next(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	wi := i / wordBits
+	if wi >= len(s.words) {
+		return -1
+	}
+	w := s.words[wi] >> (uint(i) % wordBits)
+	if w != 0 {
+		return i + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < len(s.words); wi++ {
+		if w := s.words[wi]; w != 0 {
+			return wi*wordBits + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // Members returns the members in ascending order.
 func (s Set) Members() []int {
 	m := make([]int, 0, s.Count())

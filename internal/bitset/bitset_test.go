@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +207,44 @@ func BenchmarkIntersects(b *testing.B) {
 		if x.Intersects(y) {
 			b.Fatal("unexpected intersection")
 		}
+	}
+}
+
+// TestNextVisitsMembers checks member iteration with Next against Members
+// over random sets spanning several words, plus the edge cases: an empty
+// set, a start past the universe, and a negative start.
+func TestNextVisitsMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 500; round++ {
+		n := rng.Intn(300)
+		s := New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) == 0 {
+				s.Add(i)
+			}
+		}
+		var got []int
+		for m := s.Next(0); m >= 0; m = s.Next(m + 1) {
+			got = append(got, m)
+		}
+		want := s.Members()
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: Next visited %v, Members %v", n, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: Next visited %v, Members %v", n, got, want)
+			}
+		}
+	}
+	if New(0).Next(0) != -1 || New(130).Next(0) != -1 {
+		t.Error("empty sets have no next member")
+	}
+	s := Of(130, 0, 64, 129)
+	if s.Next(130) != -1 || s.Next(1000) != -1 {
+		t.Error("a start past the universe has no next member")
+	}
+	if s.Next(-5) != 0 || s.Next(1) != 64 || s.Next(65) != 129 {
+		t.Errorf("Next(-5), Next(1), Next(65) = %d, %d, %d", s.Next(-5), s.Next(1), s.Next(65))
 	}
 }

@@ -24,11 +24,30 @@ type dedupSlot struct {
 
 const dedupMinSlots = 1024
 
-// reset empties the table, keeping capacity.
+// dedupShrinkFactor is how oversized the slot array may get, relative to
+// what the previous parse needed, before reset shrinks it.
+const dedupShrinkFactor = 16
+
+// reset empties the table for the next parse. Reset clears the whole slot
+// array, so after one huge parse a pooled engine would pay that clear on
+// every later parse. The last parse's need is the smallest power of two
+// at least 4/3 of its entries (at least dedupMinSlots): the size that
+// keeps the load at most 3/4. When the array holds at least
+// dedupShrinkFactor times that need, it is reallocated at four times the
+// need instead — headroom so that the next somewhat larger parse does not
+// regrow it step by step. The key arena is only truncated: it is never
+// cleared, so its capacity costs no time.
 func (t *dedupTable) reset() {
-	if len(t.slots) == 0 {
+	need := dedupMinSlots
+	for need*3 < t.n*4 {
+		need *= 2
+	}
+	switch {
+	case len(t.slots) == 0:
 		t.slots = make([]dedupSlot, dedupMinSlots)
-	} else {
+	case len(t.slots) >= need*dedupShrinkFactor:
+		t.slots = make([]dedupSlot, need*4)
+	default:
 		clear(t.slots)
 	}
 	t.keys = t.keys[:0]

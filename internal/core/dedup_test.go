@@ -109,3 +109,52 @@ func TestDedupInsertDuplicateNoAlloc(t *testing.T) {
 		t.Errorf("duplicate insert allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestDedupTableShrinksAfterHugeParse pins the high-water fix: one parse
+// that grows the table far past its minimum must not leave every later
+// parse on the pooled engine clearing the grown slot array. The reset
+// after the huge parse keeps its size (that parse needed it); once a
+// small parse has run, the next reset shrinks to four times the small
+// parse's need, and the shrunk table still answers membership correctly.
+func TestDedupTableShrinksAfterHugeParse(t *testing.T) {
+	var tab dedupTable
+	tab.reset()
+	key := make([]int32, 3)
+	fill := func(n int, base int32) {
+		for i := 0; i < n; i++ {
+			key[0], key[1], key[2] = 7, base+int32(i), int32(i%13)
+			if !tab.insert(key) {
+				t.Fatalf("fresh key %d reported present", i)
+			}
+		}
+	}
+	fill(60000, 0)
+	grown := len(tab.slots)
+	if grown < 64*dedupMinSlots {
+		t.Fatalf("60000 keys grew the table to only %d slots", grown)
+	}
+	tab.reset() // the previous parse used the grown size: keep it
+	if len(tab.slots) != grown || tab.n != 0 || len(tab.keys) != 0 {
+		t.Fatalf("reset after the huge parse: slots %d (want %d), n %d, keys %d", len(tab.slots), grown, tab.n, len(tab.keys))
+	}
+	fill(100, 1<<20)
+	tab.reset() // the previous parse used a sliver: shrink
+	if want := 4 * dedupMinSlots; len(tab.slots) != want {
+		t.Fatalf("reset after a small parse kept %d slots, want %d", len(tab.slots), want)
+	}
+	fill(2000, 1<<21)
+	key[0], key[1], key[2] = 7, 1<<21, 0
+	if tab.insert(key) {
+		t.Error("shrunk table lost a key")
+	}
+	// A table the last parse used substantially is cleared in place, not
+	// reallocated.
+	before := &tab.slots[0]
+	tab.reset()
+	if &tab.slots[0] != before {
+		t.Error("reset reallocated a table the last parse used substantially")
+	}
+	if tab.n != 0 || !tab.insert(key) {
+		t.Error("reset left keys behind")
+	}
+}

@@ -1,0 +1,7 @@
+package core
+
+// Test hooks for the external core_test package.
+var (
+	FuzzTokens   = fuzzTokens
+	RenderResult = renderResult
+)

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"formext/internal/bitset"
 	"formext/internal/geom"
 	"formext/internal/grammar"
 	"formext/internal/token"
@@ -150,4 +154,62 @@ func names(ps []*grammar.Preference) []string {
 		out[i] = p.Name
 	}
 	return out
+}
+
+// TestKeepMaximalMatchesNaiveSweep checks maximize's indexed sweep against
+// the quadratic scan it replaces: random covers (repeats and the empty
+// cover included), sorted as maximize sorts them, must keep exactly the
+// same trees in the same order.
+func TestKeepMaximalMatchesNaiveSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var e engine
+	for round := 0; round < 300; round++ {
+		n := 1 + rng.Intn(90)
+		var cands []*grammar.Instance
+		for i := 0; i < 1+rng.Intn(120); i++ {
+			cover := bitset.New(n)
+			if i > 0 && rng.Intn(6) == 0 {
+				cover = cands[rng.Intn(len(cands))].Cover.Clone()
+			} else if round >= 2 && rng.Intn(40) != 0 { // rounds 0 and 1: only empty covers
+				lo := rng.Intn(n)
+				for j := lo; j < n && j < lo+1+rng.Intn(12); j++ {
+					if rng.Intn(5) != 0 {
+						cover.Add(j)
+					}
+				}
+			}
+			cands = append(cands, &grammar.Instance{ID: i, Cover: cover})
+		}
+		slices.SortFunc(cands, func(a, b *grammar.Instance) int {
+			if ca, cb := a.Cover.Count(), b.Cover.Count(); ca != cb {
+				return cmp.Compare(cb, ca)
+			}
+			if c := a.Cover.Compare(b.Cover); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
+		var want []*grammar.Instance
+		for i, c := range cands {
+			if i > 0 && c.Cover.Equal(cands[i-1].Cover) {
+				continue
+			}
+			subsumed := false
+			for _, m := range want {
+				subsumed = subsumed || c.Cover.ProperSubsetOf(m.Cover)
+			}
+			if !subsumed {
+				want = append(want, c)
+			}
+		}
+		got := e.keepMaximal(cands)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: kept %d trees, naive sweep %d", round, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: tree %d is %v, naive sweep %v", round, i, got[i].Cover, want[i].Cover)
+			}
+		}
+	}
 }

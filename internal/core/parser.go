@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,8 +67,9 @@ type Stats struct {
 	// tier by tier as the join binds each slot (predicate pushdown), and
 	// count one per non-empty tier reached — so one event may cover a
 	// prefix shared by many assignments, and rejected prefixes never
-	// produce deeper events. Both evaluation modes share the join code and
-	// count identically.
+	// produce deeper events. Assignments a geometric join window skips
+	// (their adjacency factor is false) produce no event at all. Both
+	// evaluation modes share the join code and count identically.
 	ConstraintEvals int
 	FixpointIters   int           // fix-point rounds summed over all groups
 	Groups          int           // schedule groups executed (1 when scheduling is off)
@@ -319,11 +322,11 @@ func appendInt(buf []byte, v int) []byte {
 
 // instSlabSize is how many instances one engine slab holds; childSlabSize
 // how many child pointers. The parse builds instances in these engine-owned
-// slabs; at the end compact() copies the alive minority into exact-size
-// Result-owned storage, so the slabs (dead-instance majority included) are
-// cleared and recycled for the next parse instead of being retained by the
-// Result. maxFreeSlabs caps how many spare slabs of each kind a pooled
-// engine keeps — a single pathological parse cannot pin an unbounded pool.
+// slabs; at the end compact() copies the instances the Result reaches into
+// exact-size Result-owned storage, so the slabs are cleared and recycled for
+// the next parse instead of being retained by the Result. maxFreeSlabs caps
+// how many spare slabs of each kind a pooled engine keeps — a single
+// pathological parse cannot pin an unbounded pool.
 const (
 	instSlabSize  = 512
 	childSlabSize = 2048
@@ -386,14 +389,18 @@ type engine struct {
 	candAliased []bool
 	deadBySym   []int32
 
-	// Join scratch, sized to the grammar's maximum production arity.
-	// joinCover[s] (s >= 2) holds the cover union of the first s chosen
-	// components, so deep slots test token-disjointness against one bitset
-	// instead of every earlier child.
+	// Join scratch, sized to the grammar's maximum production arity: the
+	// chosen components, and each slot's state (see slotState).
 	children  []*grammar.Instance
-	joinLists [][]*grammar.Instance
-	joinOld   []int
-	joinCover []bitset.Set
+	joinSlots []slotState
+
+	// Geometric join window arenas (see prodPlan.win). idxBuf backs the
+	// windowed slots' key-sorted indexes, reset per applyProd call; hitBuf
+	// is a stack of window members, each slot pushing its hits on entry and
+	// popping them on return. Neither holds instance pointers, so both
+	// recycle freely.
+	idxBuf []keyIdx
+	hitBuf []int32
 
 	// Dedup key scratch.
 	keyBuf []int32
@@ -410,8 +417,8 @@ type engine struct {
 	// index of instance id's first parent edge in parEdges (-1 when it has
 	// none), edges are prepend-linked via next. Rollback and maximization
 	// walk these instead of per-Instance parent slices, so frozen Results
-	// retain no parse-only back edges (the dead-instance majority they
-	// mostly pointed at) and the arrays recycle across parses.
+	// retain no parse-only back edges (many of which lead to pruned or
+	// rolled-back instances) and the arrays recycle across parses.
 	parHead  []int32
 	parEdges []parEdge
 
@@ -421,9 +428,12 @@ type engine struct {
 	spareFor   *grammar.Instance
 	coverUnion bitset.Set
 
-	// Maximization scratch.
+	// Maximization scratch: candidates, ID-indexed sort keys, and the
+	// token-indexed subsumption lists over the kept trees.
 	maxCands []*grammar.Instance
-	maxKeys  []maxKey // ID-indexed sort keys scratch for maximize
+	maxKeys  []maxKey
+	subLists []subList
+	subEdges []subEdge
 
 	// Freeze-compaction scratch: reach marks the IDs reachable from alive
 	// instances; remap[id] is the Result-owned copy of reachable instance
@@ -442,6 +452,16 @@ type engine struct {
 	usedChild [][]*grammar.Instance
 	freeInst  [][]grammar.Instance
 	freeChild [][]*grammar.Instance
+}
+
+// subList is one token's subsumption list: its first edge (-1 when empty)
+// and its length.
+type subList struct{ head, n int32 }
+
+// subEdge links one kept maximal tree into a token's subsumption list.
+type subEdge struct {
+	tree int32 // index into the maximal trees kept so far
+	next int32 // next edge of the same token, -1 at the end
 }
 
 // parEdge is one child→parent link of the index-form parent graph.
@@ -473,7 +493,9 @@ func (e *engine) forgetInstances() {
 	clear(e.all)
 	e.all = e.all[:0]
 	clear(e.children)
-	clear(e.joinLists)
+	for i := range e.joinSlots {
+		e.joinSlots[i].list = nil
+	}
 	clear(e.maxCands)
 	e.maxCands = e.maxCands[:0]
 	clear(e.remap)
@@ -558,12 +580,16 @@ func (e *engine) begin(ctx context.Context, pl *plan, opt Options, universe int)
 	e.snap = resizeInts(e.snap, ns)
 	if cap(e.children) < pl.maxArity {
 		e.children = make([]*grammar.Instance, pl.maxArity)
-		e.joinLists = make([][]*grammar.Instance, pl.maxArity)
-		e.joinOld = make([]int, pl.maxArity)
-		e.joinCover = make([]bitset.Set, pl.maxArity)
+		e.joinSlots = make([]slotState, pl.maxArity)
 	}
-	for i := range e.joinCover {
-		e.joinCover[i].Reset(universe)
+	if e.idxBuf == nil {
+		// Sized for a typical page's windowed candidate lists, so a fresh
+		// engine does not grow these arenas doubling by doubling.
+		e.idxBuf = make([]keyIdx, 0, 512)
+		e.hitBuf = make([]int32, 0, 256)
+	}
+	for i := range e.joinSlots {
+		e.joinSlots[i].cover.Reset(universe)
 	}
 	if n := len(pl.conjStats); n > 0 {
 		if cap(e.conjEvals) < n {
@@ -640,7 +666,7 @@ func (e *engine) copyChildren(cs []*grammar.Instance) []*grammar.Instance {
 // recycle across parses. These links used to be per-Instance []*Instance
 // slices carved from the child-pointer slab; keeping them engine-owned
 // shrinks the Instance struct, stops frozen Results from retaining rollback
-// edges into the parse's dead-instance majority, and makes parent storage
+// edges into the parse's dead instances, and makes parent storage
 // allocation-free at steady state.
 //
 // Each (parent, child) edge is recorded exactly once per parse: the dedup
@@ -764,6 +790,27 @@ func (e *engine) runFixpoint(sp *obs.Span, prods, syms []int) {
 	}
 }
 
+// slotState is one join slot's scratch for the current applyProd call.
+type slotState struct {
+	// list is the slot's candidate list as of the call's start.
+	list []*grammar.Instance
+	// cover (slots >= 2) is the cover union of the components chosen for
+	// the earlier slots, so a deep slot tests token-disjointness against
+	// one bitset instead of every earlier child.
+	cover bitset.Set
+	// old is the slot's frontier: candidates at or after it are new this
+	// fix-point round (the symbol's mark).
+	old int
+	// laterNew reports whether some later slot has new candidates. When it
+	// is false and the prefix has no new component either, only the slot's
+	// own frontier can make the assignment new.
+	laterNew bool
+	// idxState and idx: a windowed slot's key-sorted index, built on first
+	// use (idx is a window into engine.idxBuf).
+	idxState uint8
+	idx      []keyIdx
+}
+
 // applyProd enumerates component assignments for one production, checks
 // cover disjointness and the spatial constraint, and creates the new head
 // instances. Assignments whose components all predate the round's frontier
@@ -776,9 +823,17 @@ func (e *engine) applyProd(pp *prodPlan) int {
 		if len(l) == 0 {
 			return 0
 		}
-		e.joinLists[i] = l
-		e.joinOld[i] = e.marks[sid]
+		e.joinSlots[i].list = l
 	}
+	later := false
+	for i := k - 1; i >= 0; i-- {
+		st := &e.joinSlots[i]
+		st.old = e.marks[pp.compSyms[i]]
+		st.laterNew = later
+		st.idxState = idxUnbuilt
+		later = later || len(st.list) > st.old
+	}
+	e.idxBuf = e.idxBuf[:0]
 	// One frame bind covers the whole enumeration: slots fill left to right
 	// and every factor is evaluated only once its slots are bound (evalTier)
 	// or the assignment is complete (emit), so no evaluation ever reads a
@@ -793,6 +848,16 @@ func (e *engine) applyProd(pp *prodPlan) int {
 // returns how many instances the completed assignments added. It is a
 // method, not a closure, so the recursion costs no per-production
 // allocation.
+//
+// Two things bound which candidates a slot visits. The frontier start:
+// when neither the prefix nor any later slot supplies a new component,
+// only the slot's own frontier can make the assignment new, so the loop
+// starts there. The geometric window (joinWin): a windowed slot visits only
+// the candidates whose key lies in the window around its anchor. Either way
+// the visit runs in candidate-list order, so emission order, instance IDs
+// and MaxInstances truncation are those of the full scan, and the cover
+// test and the constraint still decide every visited assignment. Both
+// evaluation modes run this same enumeration.
 func (e *engine) joinSlot(pp *prodPlan, slot int, hasNew bool) int {
 	k := len(pp.compSyms)
 	if slot == k {
@@ -801,34 +866,39 @@ func (e *engine) joinSlot(pp *prodPlan, slot int, hasNew bool) int {
 		}
 		return e.emit(pp)
 	}
-	added := 0
-	for idx, cand := range e.joinLists[slot] {
-		// Prune early: if no new component has been chosen yet and no
-		// later slot can supply one, the whole branch is stale. (Candidate
-		// lists are alive-compacted per fix point, so no liveness check
-		// runs here.)
-		candNew := idx >= e.joinOld[slot]
-		if !hasNew && !candNew {
-			stale := true
-			for j := slot + 1; j < k; j++ {
-				if len(e.joinLists[j]) > e.joinOld[j] {
-					stale = false
-					break
-				}
-			}
-			if stale {
-				continue
-			}
+	st := &e.joinSlots[slot]
+	start := 0
+	if !hasNew && !st.laterNew {
+		start = st.old
+	}
+	list := st.list
+	n := len(list) - start
+	var hits []int32
+	windowed := false
+	base := len(e.hitBuf)
+	if pp.win != nil && pp.win[slot].on {
+		if hits, windowed = e.windowHits(pp, slot, start); windowed {
+			n = len(hits)
 		}
+	}
+	added := 0
+	for i := 0; i < n; i++ {
+		idx := start + i
+		if windowed {
+			idx = int(hits[i])
+		}
+		cand := list[idx]
 		// Components must not compete for tokens within one instance: slot 1
 		// tests pairwise, deeper slots against the running cover union of
-		// the chosen prefix (joinCover[s] = cover of children[0..s-1]).
+		// the chosen prefix.
+		// Candidate lists are alive-compacted per fix point, so no liveness
+		// check runs here.
 		if slot == 1 {
 			if e.children[0].Cover.Intersects(cand.Cover) {
 				continue
 			}
 		} else if slot >= 2 {
-			if e.joinCover[slot].Intersects(cand.Cover) {
+			if st.cover.Intersects(cand.Cover) {
 				continue
 			}
 		}
@@ -839,25 +909,108 @@ func (e *engine) joinSlot(pp *prodPlan, slot int, hasNew bool) int {
 		// this prefix would have rooted.
 		if pp.conj != nil && !e.evalTier(pp, slot) {
 			if e.stats.Truncated || e.interrupted {
-				return added
+				break
 			}
 			continue
 		}
 		if nxt := slot + 1; nxt >= 2 && nxt < k {
-			u := e.joinCover[nxt]
+			u := e.joinSlots[nxt].cover
 			if nxt == 2 {
 				u.CopyFrom(e.children[0].Cover)
 			} else {
-				u.CopyFrom(e.joinCover[slot])
+				u.CopyFrom(st.cover)
 			}
 			u.UnionWith(cand.Cover)
 		}
-		added += e.joinSlot(pp, slot+1, hasNew || candNew)
+		added += e.joinSlot(pp, slot+1, hasNew || idx >= st.old)
 		if e.stats.Truncated || e.interrupted {
-			return added
+			break
 		}
 	}
+	e.hitBuf = e.hitBuf[:base] // pop this slot's window members
 	return added
+}
+
+// keyIdx is one entry of a windowed slot's join index: a candidate's key
+// coordinate and its position in the slot's candidate list.
+type keyIdx struct {
+	key float64
+	idx int32
+}
+
+// Join index states of a windowed slot within one applyProd call.
+const (
+	idxUnbuilt uint8 = iota
+	idxBuilt
+	idxNone // a candidate's key is NaN: the slot scans its list
+)
+
+// windowHits pushes onto hitBuf, in candidate-list order, the indices at or
+// after start of slot's candidates whose key lies in the window around the
+// anchor slot's instance, and returns them. ok is false when the slot is
+// not indexed (a candidate's key is NaN); the caller then scans its list.
+func (e *engine) windowHits(pp *prodPlan, slot, start int) (hits []int32, ok bool) {
+	ents := e.joinIndex(pp, slot)
+	if ents == nil {
+		return nil, false
+	}
+	w := pp.win[slot]
+	anchor := e.children[w.anchor].Pos
+	win := e.opt.Thresholds.BeforeWindow(w.ax, anchor)
+	if w.after {
+		win = e.opt.Thresholds.AfterWindow(w.ax, anchor)
+	}
+	// Keys are sorted and never NaN, so from the first key at or above
+	// win.Lo the members run until the first key the window excludes.
+	lo, _ := slices.BinarySearchFunc(ents, win.Lo, func(ent keyIdx, v float64) int { return cmp.Compare(ent.key, v) })
+	base := len(e.hitBuf)
+	for _, ent := range ents[lo:] {
+		if !win.Contains(ent.key) {
+			break
+		}
+		if int(ent.idx) >= start {
+			e.hitBuf = append(e.hitBuf, ent.idx)
+		}
+	}
+	// A deeper slot's pushes may move hitBuf; this header keeps pointing at
+	// the array these hits were written to.
+	hits = e.hitBuf[base:len(e.hitBuf):len(e.hitBuf)]
+	slices.Sort(hits)
+	return hits, true
+}
+
+// joinIndex returns slot's key-sorted join index, building it in idxBuf on
+// first use within the current applyProd call, or nil when the slot scans.
+func (e *engine) joinIndex(pp *prodPlan, slot int) []keyIdx {
+	st := &e.joinSlots[slot]
+	switch st.idxState {
+	case idxBuilt:
+		return st.idx
+	case idxNone:
+		return nil
+	}
+	st.idxState = idxNone
+	list := st.list
+	w := pp.win[slot]
+	base := len(e.idxBuf)
+	for i, c := range list {
+		key := c.Pos.Trail(w.ax)
+		if w.after {
+			key = c.Pos.Lead(w.ax)
+		}
+		if key != key {
+			// NaN keys do not order, and a window never excludes them.
+			e.idxBuf = e.idxBuf[:base]
+			return nil
+		}
+		e.idxBuf = append(e.idxBuf, keyIdx{key: key, idx: int32(i)})
+	}
+	// A later slot's index may move idxBuf; this header keeps pointing at
+	// the array this index was written to.
+	st.idx = e.idxBuf[base:len(e.idxBuf):len(e.idxBuf)]
+	slices.SortFunc(st.idx, func(a, b keyIdx) int { return cmp.Compare(a.key, b.key) })
+	st.idxState = idxBuilt
+	return st.idx
 }
 
 // emit evaluates the production constraint over the completed assignment
@@ -1166,8 +1319,8 @@ func (e *engine) kill(in *grammar.Instance, spare bitset.Set, direct bool) {
 // winner-subtree sparing (see kill) deliberately leaves a dead loser as a
 // child inside its winner's alive derivation, so alive trees can contain
 // dead nodes. Covers need no copying — they point into arena slabs each
-// Set keeps alive on its own. The payoff is at release: the slabs that
-// held the parse's unreachable majority go back to the engine instead of
+// Set keeps alive on its own. The payoff is at release: the slabs, with
+// every unreachable instance they hold, go back to the engine instead of
 // being pinned by the Result, so steady-state parsing allocates instance
 // storage proportional to what survives rather than to everything the join
 // ever built.
@@ -1245,6 +1398,22 @@ func (e *engine) markReach(in *grammar.Instance) {
 // popcount and the subtree node count.
 type maxKey struct{ count, size int32 }
 
+// subtreeSizes sets keys[in.ID].size to in.Size() for every instance of
+// all, which must list children before their parents — ID order does, as
+// an instance is built from already existing ones. One pass computes
+// size = 1 + Σ size(child) bottom-up. A subtree never repeats a node
+// (sibling covers are disjoint), so sizes are bounded by the instance
+// count and fit int32.
+func subtreeSizes(all []*grammar.Instance, keys []maxKey) {
+	for _, in := range all {
+		n := int32(1)
+		for _, c := range in.Children {
+			n += keys[c.ID].size
+		}
+		keys[in.ID].size = n
+	}
+}
+
 // maximize implements partial-tree maximization (Section 5.3): the parse
 // trees kept are alive nonterminal instances whose covers are maximal under
 // subsumption. Roots (instances with no alive parent) are the only
@@ -1275,50 +1444,108 @@ func (e *engine) maximize(startSym string) []*grammar.Instance {
 	}
 	// Precompute the sort keys the comparator would otherwise recompute per
 	// comparison: cover popcount and subtree size, ID-indexed (IDs index
-	// e.all, so candidate IDs are in range). Size is only consulted for
-	// equal-cover ties, but a tree walk inside a comparator is O(n·log n)
-	// walks in the worst case — one walk per candidate is strictly better.
+	// e.all, so candidate IDs are in range). Sizes come from one bottom-up
+	// pass over every instance rather than a subtree walk per candidate.
 	if cap(e.maxKeys) < len(e.all) {
 		e.maxKeys = make([]maxKey, len(e.all))
 	}
 	keys := e.maxKeys[:len(e.all)]
+	subtreeSizes(e.all, keys)
 	for _, in := range cands {
-		keys[in.ID] = maxKey{count: int32(in.Cover.Count()), size: int32(in.Size())}
+		keys[in.ID].count = int32(in.Cover.Count())
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
+	slices.SortFunc(cands, func(a, b *grammar.Instance) int {
 		ka, kb := keys[a.ID], keys[b.ID]
 		if ka.count != kb.count {
-			return ka.count > kb.count
+			return cmp.Compare(kb.count, ka.count)
 		}
 		if c := a.Cover.Compare(b.Cover); c != 0 {
-			return c < 0
+			return c
 		}
 		// Equal covers: the better representative first.
-		if (a.Sym == startSym) != (b.Sym == startSym) {
-			return a.Sym == startSym
+		if as, bs := a.Sym == startSym, b.Sym == startSym; as != bs {
+			if as {
+				return -1
+			}
+			return 1
 		}
 		if ka.size != kb.size {
-			return ka.size > kb.size
+			return cmp.Compare(kb.size, ka.size)
 		}
-		return a.ID < b.ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	e.maxCands = cands // keep grown capacity for the next parse
+	return e.keepMaximal(cands)
+}
+
+// keepMaximal is maximize's sweep: it keeps each candidate whose cover no
+// kept candidate properly contains, skipping repeats of the previous
+// candidate's cover. Candidates must be sorted so that equal covers are
+// adjacent and every proper superset precedes its subsets (descending
+// cover size does both).
+//
+// The sweep looks subsumers up in a token index over the kept trees
+// instead of scanning them all: subLists[t] starts the list of kept trees
+// whose cover holds token t (prepend-linked through subEdges) and counts
+// its length. A tree properly containing c holds every token of c, so the
+// shortest list among c's tokens lists every possible subsumer. Scanning
+// every kept tree is quadratic in the tree count, which hostile pages push
+// to ~10^5.
+func (e *engine) keepMaximal(cands []*grammar.Instance) []*grammar.Instance {
+	universe := 0
+	if len(cands) > 0 {
+		universe = cands[0].Cover.Len()
+	}
+	if cap(e.subLists) < universe {
+		e.subLists = make([]subList, universe)
+	}
+	lists := e.subLists[:universe]
+	for t := range lists {
+		lists[t] = subList{head: -1}
+	}
+	if e.subEdges == nil {
+		e.subEdges = make([]subEdge, 0, 256)
+	}
+	edges := e.subEdges[:0]
 	var maximal []*grammar.Instance
 	for i, c := range cands {
 		if i > 0 && c.Cover.Equal(cands[i-1].Cover) {
 			continue // duplicate cover; the representative came first
 		}
-		subsumed := false
-		for _, m := range maximal {
-			if c.Cover.ProperSubsetOf(m.Cover) {
-				subsumed = true
-				break
+		// An empty cover sorts after every non-empty one, each of which
+		// properly contains it; the first kept tree is non-empty unless
+		// every candidate is empty, and those all repeat the first.
+		subsumed := len(maximal) > 0
+		if best := shortestList(c.Cover, lists); best >= 0 {
+			subsumed = false
+			for ei := lists[best].head; ei >= 0; ei = edges[ei].next {
+				if c.Cover.ProperSubsetOf(maximal[edges[ei].tree].Cover) {
+					subsumed = true
+					break
+				}
 			}
 		}
 		if !subsumed {
+			tree := int32(len(maximal))
 			maximal = append(maximal, c)
+			for t := c.Cover.Next(0); t >= 0; t = c.Cover.Next(t + 1) {
+				edges = append(edges, subEdge{tree: tree, next: lists[t].head})
+				lists[t] = subList{head: int32(len(edges) - 1), n: lists[t].n + 1}
+			}
 		}
 	}
+	e.subEdges = edges
 	return maximal
+}
+
+// shortestList returns the token of cover whose subsumption list is
+// shortest, or -1 when cover is empty.
+func shortestList(cover bitset.Set, lists []subList) int {
+	best, bestLen := -1, int32(math.MaxInt32)
+	for t := cover.Next(0); t >= 0 && bestLen > 0; t = cover.Next(t + 1) {
+		if l := lists[t].n; l < bestLen {
+			best, bestLen = t, l
+		}
+	}
+	return best
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"formext/internal/geom"
 	"formext/internal/grammar"
 )
 
@@ -130,6 +131,7 @@ func buildPlan(g *grammar.Grammar) (*plan, error) {
 			pp.counters = nConj
 			nConj += len(pp.conj)
 		}
+		pp.win = joinWindows(cg.Prods[i].Adjacent, len(p.Components))
 		if len(p.Components) > pl.maxArity {
 			pl.maxArity = len(p.Components)
 		}
@@ -218,6 +220,43 @@ type prodPlan struct {
 	conj     []grammar.CompiledConjunct
 	order    atomic.Pointer[conjOrder]
 	counters int
+
+	// win[s] is join slot s's geometric window (nil when no slot has one).
+	win []joinWin
+}
+
+// joinWin narrows join slot s to the candidates an adjacency factor can
+// accept. The factor is a grammar.Adjacency linking slot s to the earlier
+// slot anchor: along ax it requires after.Lead - before.Trail to lie in
+// [-AlignTol, MaxHGap|MaxVGap] (geom.Thresholds.AfterWindow). The
+// join keys each slot-s candidate on Lead (after) or Trail (before) and
+// visits only keys inside the window around the anchor's rectangle. The
+// window is a conservative prefilter: the factor itself still runs on
+// every visited assignment and alone decides the derivation, and a
+// candidate outside the window falsifies the factor and hence the whole
+// conjunction, so skipping it changes no instance.
+type joinWin struct {
+	on     bool
+	after  bool  // the slot-s candidate is the relation's after argument
+	anchor uint8 // earlier slot whose instance fixes the window
+	ax     geom.Axis
+}
+
+// joinWindows derives a production's per-slot join windows from its
+// adjacency factors: each factor windows the later of its two slots,
+// anchored on the earlier one, and the first factor of each slot wins.
+func joinWindows(adj []grammar.Adjacency, arity int) []joinWin {
+	if len(adj) == 0 {
+		return nil
+	}
+	win := make([]joinWin, arity)
+	for _, a := range adj {
+		s := max(a.Before, a.After)
+		if !win[s].on {
+			win[s] = joinWin{on: true, after: s == a.After, anchor: uint8(min(a.Before, a.After)), ax: a.Axis}
+		}
+	}
+	return win
 }
 
 // conjOrder is one production's conjunct evaluation schedule: ord lists the

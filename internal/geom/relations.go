@@ -1,5 +1,7 @@
 package geom
 
+import "math"
+
 // Spatial relations used by 2P grammar productions (Section 4.1 of the
 // paper). The paper notes that "adjacency is implied in all spatial
 // relations": Left(a, b) does not merely mean a is somewhere to the left of
@@ -126,4 +128,84 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
+}
+
+// Axis is the direction of an adjacency relation: Horizontal for Left and
+// Right, Vertical for Above and Below.
+type Axis uint8
+
+const (
+	// Horizontal is the x axis (Left, Right).
+	Horizontal Axis = iota
+	// Vertical is the y axis (Above, Below).
+	Vertical
+)
+
+// Lead returns r's leading edge along ax: X1 or Y1.
+func (r Rect) Lead(ax Axis) float64 {
+	if ax == Vertical {
+		return r.Y1
+	}
+	return r.X1
+}
+
+// Trail returns r's trailing edge along ax: X2 or Y2.
+func (r Rect) Trail(ax Axis) float64 {
+	if ax == Vertical {
+		return r.Y2
+	}
+	return r.X2
+}
+
+// Window is a closed interval [Lo, Hi] of one rectangle coordinate: the
+// range a coordinate must lie in for an adjacency relation to possibly
+// hold. Windows are conservative prefilters — a coordinate inside the
+// window may still fail the relation, one outside never passes it.
+type Window struct{ Lo, Hi float64 }
+
+// unbounded is the window that excludes nothing.
+var unbounded = Window{Lo: math.Inf(-1), Hi: math.Inf(1)}
+
+// Contains reports whether v lies in the window. NaN is never excluded:
+// the relations' comparisons are all false on NaN, so a NaN coordinate can
+// slip past every gap test.
+func (w Window) Contains(v float64) bool { return !(v < w.Lo || v > w.Hi) }
+
+// windowPad is the relative widening applied to every window, so float
+// rounding in the relation's own arithmetic (b.X1 + AlignTol, b.X1 - a.X2)
+// can never put a passing coordinate just outside the window. Rounding
+// errors are ~1e-16 relative; the pad is seven orders of magnitude wider.
+const windowPad = 1e-9
+
+// maxGap returns the adjacency gap bound along ax.
+func (t Thresholds) maxGap(ax Axis) float64 {
+	if ax == Vertical {
+		return t.MaxVGap
+	}
+	return t.MaxHGap
+}
+
+// AfterWindow returns the window of b.Lead(ax) outside which Left(a, b)
+// (Horizontal) or Above(a, b) (Vertical) cannot hold, given a. Both
+// relations require the gap b.Lead - a.Trail to lie in
+// [-AlignTol, MaxHGap or MaxVGap].
+func (t Thresholds) AfterWindow(ax Axis, a Rect) Window {
+	return window(a.Trail(ax), -t.AlignTol, t.maxGap(ax))
+}
+
+// BeforeWindow returns the window of a.Trail(ax) outside which Left(a, b)
+// (Horizontal) or Above(a, b) (Vertical) cannot hold, given b.
+func (t Thresholds) BeforeWindow(ax Axis, b Rect) Window {
+	return window(b.Lead(ax), -t.maxGap(ax), t.AlignTol)
+}
+
+// window returns [anchor+lo, anchor+hi] widened by windowPad, or unbounded
+// when non-finite inputs make a bound NaN.
+func window(anchor, lo, hi float64) Window {
+	pad := windowPad * (1 + abs(anchor) + abs(lo) + abs(hi))
+	w := Window{Lo: anchor + lo - pad, Hi: anchor + hi + pad}
+	if math.IsNaN(w.Lo) || math.IsNaN(w.Hi) {
+		return unbounded
+	}
+	return w
 }

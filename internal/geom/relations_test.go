@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -179,5 +181,110 @@ func TestTranslationInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAdjacencyWindowProperty checks the join-window contract the parser
+// relies on: whenever Left(a, b) or Above(a, b) holds, b's leading edge lies
+// in AfterWindow(a) and a's trailing edge in BeforeWindow(b). Pairs are
+// built around the gap bounds (exactly on them and one ulp to either side),
+// at pixel, fractional and 1e12 magnitudes, under default and randomized
+// thresholds, so the windows' float padding is exercised where rounding
+// actually bites.
+func TestAdjacencyWindowProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	coord := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return float64(rng.Intn(1200))
+		case 1:
+			return rng.Float64() * 1200
+		case 2:
+			return (rng.Float64() - 0.5) * 2e12
+		default:
+			return (rng.Float64() - 0.5) * 1e-3
+		}
+	}
+	held := 0
+	for i := 0; i < 200000; i++ {
+		tt := DefaultThresholds
+		if rng.Intn(2) == 0 {
+			tt = Thresholds{
+				MaxHGap:        rng.Float64() * 300,
+				MaxVGap:        rng.Float64() * 80,
+				AlignTol:       rng.Float64() * 10,
+				MinOverlapFrac: rng.Float64(),
+			}
+		}
+		ax := Axis(rng.Intn(2))
+		// The gap b.Lead - a.Trail: on a bound, an ulp off it, or anywhere
+		// near the admissible range.
+		var gap float64
+		switch rng.Intn(3) {
+		case 0:
+			gap = -tt.AlignTol
+		case 1:
+			gap = tt.maxGap(ax)
+		default:
+			gap = -tt.AlignTol - 5 + rng.Float64()*(tt.maxGap(ax)+tt.AlignTol+10)
+		}
+		start := coord()
+		aLen := rng.Float64() * 200
+		aTrail := start + aLen
+		bLead := aTrail + gap
+		switch rng.Intn(3) {
+		case 0:
+			bLead = math.Nextafter(bLead, math.Inf(1))
+		case 1:
+			bLead = math.Nextafter(bLead, math.Inf(-1))
+		}
+		bTrail := bLead + rng.Float64()*200
+		// Perpendicular extents overlap fully, so the gap tests decide.
+		p1 := coord()
+		p2 := p1 + 1 + rng.Float64()*40
+		var a, b Rect
+		rel := tt.Left
+		if ax == Horizontal {
+			a, b = R(start, aTrail, p1, p2), R(bLead, bTrail, p1, p2)
+		} else {
+			a, b = R(p1, p2, start, aTrail), R(p1, p2, bLead, bTrail)
+			rel = tt.Above
+		}
+		if !rel(a, b) {
+			continue
+		}
+		held++
+		if w := tt.AfterWindow(ax, a); !w.Contains(b.Lead(ax)) {
+			t.Fatalf("axis %d: rel(%v, %v) holds under %+v but AfterWindow %+v excludes %v",
+				ax, a, b, tt, w, b.Lead(ax))
+		}
+		if w := tt.BeforeWindow(ax, b); !w.Contains(a.Trail(ax)) {
+			t.Fatalf("axis %d: rel(%v, %v) holds under %+v but BeforeWindow %+v excludes %v",
+				ax, a, b, tt, w, a.Trail(ax))
+		}
+	}
+	if held < 50000 {
+		t.Fatalf("only %d of the generated pairs satisfied the relation", held)
+	}
+}
+
+// TestAdjacencyWindowNonFinite pins the degenerate inputs: a non-finite
+// anchor or threshold yields the unbounded window, and NaN is never
+// excluded (a NaN coordinate can pass every gap test).
+func TestAdjacencyWindowNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, a := range []Rect{R(0, inf, 0, 10), R(-inf, -inf, 0, 10), R(0, nan, 0, 10)} {
+		if w := th.AfterWindow(Horizontal, a); w != unbounded {
+			t.Errorf("AfterWindow(%v) = %+v, want unbounded", a, w)
+		}
+	}
+	if w := (Thresholds{MaxVGap: nan}).AfterWindow(Vertical, R(0, 10, 0, 10)); w != unbounded {
+		t.Errorf("NaN threshold: window %+v, want unbounded", w)
+	}
+	if !th.AfterWindow(Horizontal, R(0, 10, 0, 10)).Contains(nan) {
+		t.Error("a NaN coordinate must never be excluded")
+	}
+	if th.AfterWindow(Horizontal, R(0, 10, 0, 10)).Contains(inf) {
+		t.Error("+Inf lies outside a finite window")
 	}
 }

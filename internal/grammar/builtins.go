@@ -6,6 +6,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"formext/internal/geom"
 	"formext/internal/token"
 )
 
@@ -29,8 +30,26 @@ var (
 	instNum2  = map[string]func(ctx *EvalCtx, a, b *Instance) float64{}
 )
 
+// adjacencies describes the spatial builtins that imply adjacency
+// (Section 4.1), next to their registrations below: the axis each runs
+// along, and whether its arguments come in (after, before) order. left(a,
+// b) and above(a, b) hold only when a lies just before b — b's leading
+// edge within geom.Thresholds.AfterWindow of a — and right and below are
+// the same relations with the arguments swapped. Compile reads this table
+// to fill CompiledProd.Adjacent.
+var adjacencies = map[string]struct {
+	axis geom.Axis
+	swap bool
+}{
+	"left":  {geom.Horizontal, false},
+	"right": {geom.Horizontal, true},
+	"above": {geom.Vertical, false},
+	"below": {geom.Vertical, true},
+}
+
 func init() {
-	// Spatial relations between two instances.
+	// Spatial relations between two instances. left, right, above and
+	// below must match their entries in adjacencies.
 	regB2("left", func(ctx *EvalCtx, a, b *Instance) bool { return ctx.Th.Left(a.Pos, b.Pos) })
 	regB2("right", func(ctx *EvalCtx, a, b *Instance) bool { return ctx.Th.Right(a.Pos, b.Pos) })
 	regB2("above", func(ctx *EvalCtx, a, b *Instance) bool { return ctx.Th.Above(a.Pos, b.Pos) })

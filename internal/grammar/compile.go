@@ -107,9 +107,28 @@ var (
 // first. Every factor is pure (builtins only read instance state; the text
 // memos they populate are idempotent), so short-circuiting a reordered
 // chain is observationally identical to evaluating the original expression.
+//
+// Adjacent lists, in syntax order, the top-level ∧-factors (the whole
+// constraint when it is a single factor) that are adjacency relations
+// between two distinct component variables. Each is false whenever its
+// After rectangle lies outside the relation's window around its Before
+// rectangle, and with it the whole constraint — the parser's join windows
+// rest on this.
 type CompiledProd struct {
 	Constraint *CompiledExpr
 	Conjuncts  []CompiledConjunct
+	Adjacent   []Adjacency
+}
+
+// Adjacency is one adjacency factor of a production constraint — left,
+// right, above or below over two bare component variables — normalized to
+// geom.Thresholds.Left(Before, After) (Axis Horizontal) or
+// Above(Before, After) (Axis Vertical): After's leading edge must lie in
+// geom.Thresholds.AfterWindow of Before's rectangle. Before and After are
+// component slots.
+type Adjacency struct {
+	Before, After int
+	Axis          geom.Axis
 }
 
 // CompiledConjunct is one top-level ∧-factor of a production constraint,
@@ -168,6 +187,7 @@ func Compile(g *Grammar) *CompiledGrammar {
 		}
 		cg.Prods[i].Constraint = CompileExpr(p.Constraint, slot)
 		cg.Prods[i].Conjuncts = compileConjuncts(p.Constraint, slot)
+		cg.Prods[i].Adjacent = adjacentFactors(p.Constraint, slot)
 	}
 	for i, r := range g.Prefs {
 		// Winner first: if the two variables collide, the loser binding
@@ -717,6 +737,32 @@ func compileConjuncts(e Expr, slot map[string]int) []CompiledConjunct {
 			Cost:    staticCost(f),
 			MaxSlot: maxSlotOf(f, slot),
 		}
+	}
+	return out
+}
+
+// adjacentFactors returns e's top-level ∧-factors that are adjacency
+// relations between two distinct slots (see CompiledProd.Adjacent).
+func adjacentFactors(e Expr, slot map[string]int) []Adjacency {
+	var out []Adjacency
+	for _, f := range flattenAnd(e, nil) {
+		call, ok := f.(*CallExpr)
+		if !ok || len(call.Args) != 2 {
+			continue
+		}
+		rel, ok := adjacencies[call.Name]
+		if !ok {
+			continue
+		}
+		before, ok1 := varSlot(call.Args[0], slot)
+		after, ok2 := varSlot(call.Args[1], slot)
+		if !ok1 || !ok2 || before == after {
+			continue
+		}
+		if rel.swap {
+			before, after = after, before
+		}
+		out = append(out, Adjacency{Before: before, After: after, Axis: rel.axis})
 	}
 	return out
 }

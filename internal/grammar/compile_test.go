@@ -1,6 +1,8 @@
 package grammar
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"formext/internal/geom"
@@ -292,5 +294,71 @@ func TestCompiledDefaultZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("compiled default-grammar evaluation allocates %.1f times per sweep", allocs)
+	}
+}
+
+// TestAdjacenciesMatchBuiltins ties the adjacencies table to the builtins
+// it describes: whenever left, right, above or below holds on a pair of
+// rectangles, the normalized after argument's leading edge lies in the
+// AfterWindow of the before argument. The parser's join windows skip every
+// pair outside that window, so a table entry that disagreed with its
+// builtin would silently drop derivations.
+func TestAdjacenciesMatchBuiltins(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	th := geom.DefaultThresholds
+	ctx := &EvalCtx{Th: th}
+	coord := func() float64 { return float64(rng.Intn(400)) + rng.Float64() }
+	for name, rel := range adjacencies {
+		fn := instBool2[name]
+		held := 0
+		for i := 0; i < 20000; i++ {
+			// Rectangles close enough to each other that every relation
+			// holds on a good share of the pairs.
+			x, y := coord(), coord()
+			w, h := 1+rng.Float64()*60, 1+rng.Float64()*30
+			a := &Instance{Pos: geom.R(x, x+w, y, y+h)}
+			dx, dy := (rng.Float64()-0.5)*200, (rng.Float64()-0.5)*120
+			b := &Instance{Pos: geom.R(x+dx, x+dx+1+rng.Float64()*60, y+dy, y+dy+1+rng.Float64()*30)}
+			if !fn(ctx, a, b) {
+				continue
+			}
+			held++
+			before, after := a, b
+			if rel.swap {
+				before, after = b, a
+			}
+			if win := th.AfterWindow(rel.axis, before.Pos); !win.Contains(after.Pos.Lead(rel.axis)) {
+				t.Fatalf("%s(%v, %v) holds but the after edge %v is outside %+v",
+					name, a.Pos, b.Pos, after.Pos.Lead(rel.axis), win)
+			}
+		}
+		if held < 200 {
+			t.Fatalf("%s held on only %d pairs", name, held)
+		}
+	}
+}
+
+// TestCompiledAdjacent checks which constraint factors Compile records as
+// adjacency factors, and their normalization.
+func TestCompiledAdjacent(t *testing.T) {
+	g := MustParseDSL(`
+terminals text, textbox;
+start S;
+prod S -> a:A b:B : right(a, b) && samerow(a, b) && below(b, a) ;
+prod A -> t:text : above(t, t) ;
+prod B -> a:A x:textbox : left(a, x) || above(a, x) ;
+prod C -> a:A x:textbox : left(a, x) ;
+`)
+	cg := Compile(g)
+	want := [][]Adjacency{
+		{{Before: 1, After: 0, Axis: geom.Horizontal}, {Before: 0, After: 1, Axis: geom.Vertical}},
+		nil, // one slot: no pair to relate
+		nil, // a disjunction is no ∧-factor
+		{{Before: 0, After: 1, Axis: geom.Horizontal}},
+	}
+	for i, p := range cg.Prods {
+		if !reflect.DeepEqual(p.Adjacent, want[i]) {
+			t.Errorf("%s: Adjacent = %+v, want %+v", g.Prods[i], p.Adjacent, want[i])
+		}
 	}
 }
