@@ -80,8 +80,8 @@ bench-frontend:
 	  -before testdata/bench_frontend_before.txt > BENCH_frontend.json
 	cat BENCH_frontend.json
 
-# Parser hot-path benchmarks: the source of BENCH_parser.json (PR 9's
-# conjunct-tiered, pair-memoized, slab-compacted parse). The baseline file
+# Parser hot-path benchmarks: the source of BENCH_parser.json (the
+# conjunct-tiered, slab-compacted parse). The baseline file
 # carries a schema header naming the benchmark set it was recorded with;
 # the gate below fails the target when the header does not match, so a
 # future change to the bench set cannot silently diff against figures from
@@ -95,7 +95,7 @@ bench-parser:
 	{ go test -run '^$$' -bench . -benchtime 3x -count 3 -benchmem ./internal/core/ ; \
 	  go test -run '^$$' -bench 'PoolExtract$$' -benchtime 3000x -count 3 -benchmem . ; } \
 	| go run ./cmd/benchjson \
-	  -description "Parser hot-path benchmarks before/after the PR 9 rewrite: compiled constraints decomposed into per-slot conjunct tiers evaluated the moment their last variable binds (predicate pushdown prunes the join enumeration), tiers ordered within each slot by measured reject-rate/cost, preference verdicts memoized per (preference, instance pair) in a pooled epoch-stamped table, join candidate lists trimmed by per-symbol dead counters, and the frozen Result compacted into exact-size storage while the engine recycles its instance/child slabs across parses. The before column is the post-PR 8 tree (arena front end, monolithic compiled constraints); wall time is roughly flat on this box while retained bytes drop ~2x on the full-corpus parse and ~44% on the serving path." \
+	  -description "Parser hot-path benchmarks before/after the parser hot-path rewrite of commit bf1bb4f: compiled constraints decomposed into per-slot conjunct tiers evaluated the moment their last variable binds (predicate pushdown prunes the join enumeration), tiers ordered within each slot by measured reject-rate/cost, preference verdicts memoized per (preference, instance pair) in a pooled epoch-stamped table, join candidate lists trimmed by per-symbol dead counters, and the frozen Result compacted into exact-size storage while the engine recycles its instance/child slabs across parses. The before column is the tree at commit 5e79440 (arena front end, monolithic compiled constraints); wall time is roughly flat on this box while retained bytes drop ~2x on the full-corpus parse and ~44% on the serving path. Since then the preference pair memo and the measured within-tier reordering have been removed: the tiers run in a static cheapest-first order fixed at plan build, and preferences are checked directly." \
 	  -methodology "make bench-parser: go test -run '^$$' -bench . -benchtime 3x -count 3 -benchmem ./internal/core/ plus BenchmarkPoolExtract with -benchtime 3000x -count 3 at the package root. The before file (testdata/bench_parser_before.txt) was recorded with the same commands at commit 5e79440, immediately before this rewrite; its first line is a schema header this target verifies before comparing." \
 	  -before testdata/bench_parser_before.txt > BENCH_parser.json
 	cat BENCH_parser.json

@@ -110,6 +110,29 @@ func TestScheduleFigure6(t *testing.T) {
 		t.Errorf("TextOp (group %d) must precede EnumRB (group %d)",
 			s.GroupOf["TextOp"], s.GroupOf["EnumRB"])
 	}
+	// Every preference is enforced after exactly one group, so a scheduled
+	// parse never checks one (preference, winner, loser) triple twice —
+	// which is why enforce keeps no verdict memo.
+	def, err := NewParser(grammar.Default(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*Parser{p, def} {
+		seen := map[*grammar.Preference]int{}
+		for _, prefs := range q.Schedule().EnforceAfter {
+			for _, r := range prefs {
+				seen[r]++
+			}
+		}
+		for _, r := range q.pl.g.Prefs {
+			if seen[r] != 1 {
+				t.Errorf("preference %s enforced after %d groups, want exactly 1", r.Name, seen[r])
+			}
+		}
+		if len(seen) != len(q.pl.g.Prefs) {
+			t.Errorf("EnforceAfter names %d preferences, grammar has %d", len(seen), len(q.pl.g.Prefs))
+		}
+	}
 }
 
 func TestParseQamFragmentComplete(t *testing.T) {

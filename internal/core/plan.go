@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"formext/internal/geom"
 	"formext/internal/grammar"
@@ -55,31 +54,7 @@ type plan struct {
 	// maxArity is the largest production component count, sizing the
 	// engine's join scratch.
 	maxArity int
-
-	// Selectivity state — the one mutable corner of the plan, all accessed
-	// through atomics (plans are shared across parsers and goroutines).
-	// conjStats holds two counters per conjunct, flat across productions
-	// (prodPlan.counters is each production's offset); engines accumulate
-	// locally during a parse and flush here at release. Every production's
-	// current evaluation order lives behind an atomic pointer in its
-	// prodPlan; reorder() recomputes all of them from the counters at
-	// exponentially spaced eval milestones, so steady-state parses stop
-	// paying for reordering entirely.
-	conjStats   []conjStat
-	conjEvals   atomic.Int64 // conjunct evaluations flushed since the last reorder
-	nextReorder atomic.Int64 // eval milestone that triggers the next reorder
-	reorderMu   sync.Mutex
 }
-
-// conjStat is the measured record of one conjunct: how many times it was
-// evaluated and how many of those evaluations rejected the assignment.
-type conjStat struct {
-	evals   atomic.Int64
-	rejects atomic.Int64
-}
-
-// conjReorderEvery is the first reorder milestone; each reorder doubles it.
-const conjReorderEvery = 4096
 
 // planCache memoizes the compiled plan per grammar, keyed by the *Grammar
 // pointer. Grammars are immutable after construction (see grammar.Grammar),
@@ -116,7 +91,6 @@ func buildPlan(g *grammar.Grammar) (*plan, error) {
 	}
 
 	pl.prods = make([]prodPlan, len(g.Prods))
-	nConj := 0
 	for i, p := range g.Prods {
 		pp := &pl.prods[i]
 		pp.p = p
@@ -128,17 +102,13 @@ func buildPlan(g *grammar.Grammar) (*plan, error) {
 		pp.constraint = cg.Prods[i].Constraint
 		pp.conj = cg.Prods[i].Conjuncts
 		if pp.conj != nil {
-			pp.counters = nConj
-			nConj += len(pp.conj)
+			pp.order = tierOrder(pp.conj, len(p.Components))
 		}
 		pp.win = joinWindows(cg.Prods[i].Adjacent, len(p.Components))
 		if len(p.Components) > pl.maxArity {
 			pl.maxArity = len(p.Components)
 		}
 	}
-	pl.conjStats = make([]conjStat, nConj)
-	pl.nextReorder.Store(conjReorderEvery)
-	pl.reorder() // seed every production's order from the static costs
 
 	prefIdx := make(map[*grammar.Preference]int, len(g.Prefs))
 	pl.prefs = make([]prefPlan, len(g.Prefs))
@@ -212,14 +182,12 @@ type prodPlan struct {
 	compSyms   []int
 	constraint *grammar.CompiledExpr
 
-	// Selectivity-ordered conjunct evaluation. conj is the constraint's
-	// top-level ∧-chain in grammar order (nil when it has fewer than two
-	// factors — the engine then evaluates constraint whole); order is the
-	// current evaluation schedule over conj, replaced wholesale by
-	// reorder(); counters is this production's offset into plan.conjStats.
-	conj     []grammar.CompiledConjunct
-	order    atomic.Pointer[conjOrder]
-	counters int
+	// Tiered conjunct evaluation. conj is the constraint's top-level
+	// ∧-chain in grammar order (nil when it has fewer than two factors —
+	// the engine then evaluates constraint whole); order is the evaluation
+	// schedule over conj (zero when conj is nil).
+	conj  []grammar.CompiledConjunct
+	order conjOrder
 
 	// win[s] is join slot s's geometric window (nil when no slot has one).
 	win []joinWin
@@ -261,16 +229,42 @@ func joinWindows(adj []grammar.Adjacency, arity int) []joinWin {
 
 // conjOrder is one production's conjunct evaluation schedule: ord lists the
 // factor indices tier-major — grouped by the join slot at which each factor
-// becomes fully bound (CompiledConjunct.MaxSlot), measured-selectivity order
-// within a tier — and tier[s]..tier[s+1] bounds slot s's segment of ord
-// (len(tier) is the production arity plus one). The engine evaluates
-// segment s the moment join slot s is filled, so a rejecting factor prunes
-// every deeper candidate combination instead of one complete assignment.
-// Both fields are immutable once published; reorder() swaps in a fresh
-// value wholesale.
+// becomes fully bound (CompiledConjunct.MaxSlot), cheapest static Cost
+// first within a tier, grammar order on ties — and tier[s]..tier[s+1]
+// bounds slot s's segment of ord (len(tier) is the production arity plus
+// one). The engine evaluates segment s the moment join slot s is filled,
+// so a rejecting factor prunes every deeper candidate combination instead
+// of one complete assignment.
 type conjOrder struct {
 	ord  []uint8
 	tier []uint8
+}
+
+// tierOrder computes the conjunct schedule of a production with the given
+// ∧-factors and arity.
+func tierOrder(conj []grammar.CompiledConjunct, arity int) conjOrder {
+	ord := make([]uint8, len(conj))
+	for ci := range ord {
+		ord[ci] = uint8(ci)
+	}
+	sort.SliceStable(ord, func(a, b int) bool {
+		ca, cb := &conj[ord[a]], &conj[ord[b]]
+		if ca.MaxSlot != cb.MaxSlot {
+			return ca.MaxSlot < cb.MaxSlot
+		}
+		return ca.Cost < cb.Cost
+	})
+	// tier[s] = first index of ord whose factor has MaxSlot >= s, so
+	// ord[tier[s]:tier[s+1]] is exactly slot s's segment.
+	tier := make([]uint8, arity+1)
+	idx := 0
+	for s := range tier {
+		for idx < len(ord) && conj[ord[idx]].MaxSlot < s {
+			idx++
+		}
+		tier[s] = uint8(idx)
+	}
+	return conjOrder{ord: ord, tier: tier}
 }
 
 // prefPlan is one preference in compiled evaluation form.
@@ -280,106 +274,4 @@ type prefPlan struct {
 	loserID  int
 	cond     *grammar.CompiledExpr
 	win      *grammar.CompiledExpr
-}
-
-// noteConjStats merges one engine's per-parse conjunct counters (evals and
-// rejects, index-parallel to conjStats) into the plan, and triggers a
-// reorder when the cumulative evaluation count crosses the next milestone.
-// Called once per parse at engine release, so the hot loop's counters stay
-// plain int32 increments.
-func (pl *plan) noteConjStats(evals, rejects []int32) {
-	total := int64(0)
-	for i := range evals {
-		if e := evals[i]; e != 0 {
-			pl.conjStats[i].evals.Add(int64(e))
-			total += int64(e)
-		}
-		if r := rejects[i]; r != 0 {
-			pl.conjStats[i].rejects.Add(int64(r))
-		}
-	}
-	if total == 0 {
-		return
-	}
-	if pl.conjEvals.Add(total) >= pl.nextReorder.Load() {
-		pl.reorder()
-	}
-}
-
-// reorder recomputes every production's conjunct evaluation schedule from
-// the measured counters. The tier structure is static — each factor belongs
-// to the join slot where its variables become fully bound — so only the
-// order within a tier is measured: a conjunct's score is its smoothed
-// reject rate (rejects+1)/(evals+2) divided by its static cost — the
-// expected rejections bought per unit of work — and a tier evaluates its
-// factors in descending score order. With no measurements yet the smoothed
-// rate is uniform, so the seed order within a tier is simply ascending
-// static cost (cheapest first), ties broken by grammar order. Milestones
-// double after every reorder: the schedule converges while reordering cost
-// amortizes to zero on long-running parsers.
-func (pl *plan) reorder() {
-	pl.reorderMu.Lock()
-	defer pl.reorderMu.Unlock()
-	nProds := 0
-	nConj := 0
-	nTier := 0
-	for i := range pl.prods {
-		if pl.prods[i].conj != nil {
-			nProds++
-			nConj += len(pl.prods[i].conj)
-			nTier += len(pl.prods[i].compSyms) + 1
-		}
-	}
-	if nConj == 0 {
-		return
-	}
-	// One backing array each for orders and tier bounds, one conjOrder per
-	// production: three allocations per reorder, and O(1) reorders per
-	// milestone doubling.
-	flat := make([]uint8, 0, nConj)
-	tiers := make([]uint8, 0, nTier)
-	heads := make([]conjOrder, 0, nProds)
-	for i := range pl.prods {
-		pp := &pl.prods[i]
-		if pp.conj == nil {
-			continue
-		}
-		k := len(pp.conj)
-		start := len(flat)
-		for ci := 0; ci < k; ci++ {
-			flat = append(flat, uint8(ci))
-		}
-		ord := flat[start : start+k : start+k]
-		score := func(ci uint8) float64 {
-			st := &pl.conjStats[pp.counters+int(ci)]
-			rate := float64(st.rejects.Load()+1) / float64(st.evals.Load()+2)
-			cost := pp.conj[ci].Cost
-			if cost < 1 {
-				cost = 1
-			}
-			return rate / float64(cost)
-		}
-		sort.SliceStable(ord, func(a, b int) bool {
-			ta, tb := pp.conj[ord[a]].MaxSlot, pp.conj[ord[b]].MaxSlot
-			if ta != tb {
-				return ta < tb
-			}
-			return score(ord[a]) > score(ord[b])
-		})
-		// tier[s] = first index of ord whose factor has MaxSlot >= s, so
-		// ord[tier[s]:tier[s+1]] is exactly slot s's segment.
-		arity := len(pp.compSyms)
-		tstart := len(tiers)
-		idx := 0
-		for s := 0; s <= arity; s++ {
-			for idx < k && pp.conj[ord[idx]].MaxSlot < s {
-				idx++
-			}
-			tiers = append(tiers, uint8(idx))
-		}
-		tb := tiers[tstart : tstart+arity+1 : tstart+arity+1]
-		heads = append(heads, conjOrder{ord: ord, tier: tb})
-		pp.order.Store(&heads[len(heads)-1])
-	}
-	pl.nextReorder.Store(pl.conjEvals.Load()*2 + conjReorderEvery)
 }
