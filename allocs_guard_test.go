@@ -9,6 +9,8 @@ package formext_test
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"formext"
@@ -38,5 +40,73 @@ func TestColdExtractAllocationBudget(t *testing.T) {
 	})
 	if allocs >= 100 {
 		t.Errorf("cold Qam extraction allocates %.0f objects per op, want < 100", allocs)
+	}
+}
+
+// TestFreezeCostCoversRetainedHeap keeps the cache's byte accounting
+// honest: the footprint Freeze records is what the cache charges an entry
+// against its budget, so if it falls short of what a frozen Result really
+// retains, a cache sized in bytes holds more than its budget. The test
+// extracts and freezes 400 distinct serve-shaped pages (2 to 5 conditions
+// at the Basic dataset's hardness), keeps every Result, and asserts that
+// their summed cost is at least 0.9x the heap they retain after GC. The
+// request bodies are copied inside the measured window because Results
+// alias them, as cached serving Results do.
+func TestFreezeCostCoversRetainedHeap(t *testing.T) {
+	const pages = 400
+	st := dataset.NewStream(dataset.Config{
+		Seed: 1, Sources: math.MaxInt, Schemas: dataset.AllSchemas,
+		MinConds: 2, MaxConds: 5, Hardness: 0.46,
+	})
+	seen := map[string]bool{}
+	var srcs []string
+	for len(srcs) < pages+8 {
+		src, _ := st.Next()
+		if !seen[src.HTML] {
+			seen[src.HTML] = true
+			srcs = append(srcs, src.HTML)
+		}
+	}
+	pool, err := formext.NewPool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Warm the pooled engines, arenas and per-grammar plans on pages
+	// outside the measured set, so their one-time state is in the baseline.
+	for _, src := range srcs[pages:] {
+		if _, err := pool.ExtractBytes(ctx, []byte(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srcs = srcs[:pages]
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	results := make([]*formext.Result, 0, pages)
+	before := heap()
+	var cost int64
+	for _, src := range srcs {
+		res, err := pool.ExtractBytes(ctx, []byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost += formext.FreezeCost(res)
+		results = append(results, res)
+	}
+	after := heap()
+	runtime.KeepAlive(results)
+	retained := int64(after) - int64(before)
+	if retained <= 0 {
+		t.Fatalf("retained heap %d bytes after %d extractions; the measurement is broken", retained, pages)
+	}
+	ratio := float64(cost) / float64(retained)
+	t.Logf("%d results: Freeze cost %d bytes, retained heap %d bytes, ratio %.2f", pages, cost, retained, ratio)
+	if ratio < 0.9 {
+		t.Errorf("Freeze cost covers %.2f of the retained heap, want >= 0.90", ratio)
 	}
 }

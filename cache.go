@@ -133,11 +133,8 @@ func pageKey(prefix [32]byte, src []byte) cache.Key {
 
 // Freeze makes the result safe for any number of concurrent readers and
 // returns it. It pre-materializes every lazily memoized text cache in the
-// parse-tree graph (the only mutable state a completed Result retains),
-// severs the parser's rollback edges (Instance.Parents — only the parse
-// itself needs them, and they lead into the dead-instance majority no
-// reader should traverse), and records the result's approximate byte
-// footprint for cache accounting.
+// parse-tree graph (the only mutable state a completed Result retains) and
+// records the result's approximate byte footprint for cache accounting.
 //
 // Freeze is idempotent but not itself concurrency-safe: exactly one
 // goroutine must freeze the result, with a happens-before edge to every
@@ -153,10 +150,15 @@ func (r *Result) Freeze() *Result {
 	for _, tr := range r.Trees {
 		cost += tr.FreezeMemos(seen)
 	}
-	// Every instance the parse created stays resident through the
-	// Result-owned slabs (an interior pointer keeps its whole slab alive),
-	// so the dead majority counts too: struct plus cover words per created
-	// instance, not just the tree-reachable minority FreezeMemos visited.
+	// A Result retains only what its trees reach — the instances, child
+	// lists and cover words FreezeMemos just counted — not every instance
+	// the parse created, so this per-created-instance term is not a count
+	// of resident instances. It stands in for retention the other terms
+	// miss: ~40 KB per serve-shaped page, the retained heap after GC less
+	// the cost without this term (TestFreezeCostCoversRetainedHeap guards
+	// the sum). Without it a byte-bounded cache holds about twice its
+	// budget: the in-process serve workload's peak RSS went from ~290 to
+	// ~540 MB (its throughput rose, as more of the hot corpus stayed cached).
 	perInst := int64(unsafe.Sizeof(grammar.Instance{})) + int64(len(r.Tokens)/8+16)
 	cost += int64(r.Stats.TotalCreated) * perInst
 	for _, t := range r.Tokens {

@@ -197,9 +197,10 @@ const (
 // for clients that want to inspect or post-process them.
 //
 // Ownership rule: a Result returned by an uncached extraction is owned by
-// its caller — it holds the per-parse slabs the instances were carved from,
-// and its parse trees memoize text lazily, so it must be confined to one
-// goroutine unless frozen first. A Result served from a Cache (or a
+// its caller — its parse trees live in storage the parser copied out for
+// this Result alone (the trees' instances, child lists and cover words; the
+// parser's own slabs are recycled), but they memoize text lazily, so it
+// must be confined to one goroutine unless frozen first. A Result served from a Cache (or a
 // coalesced ExtractStream page) is a caller-owned Result struct over shared
 // frozen artifacts: Model, Tokens, Trees and Form are immutable and safe
 // for any number of concurrent readers, and must not be mutated. Freeze

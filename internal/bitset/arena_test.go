@@ -164,6 +164,66 @@ func TestArenaAmortizedAllocs(t *testing.T) {
 	}
 }
 
+func TestArenaRecycle(t *testing.T) {
+	var a Arena
+	a.Reset(100)
+	for i := 0; i < 3*slabSets; i++ {
+		a.New().Add(i % 100)
+	}
+	a.Recycle()
+	// Recycled slabs come back cleared, also under a different universe.
+	a.Reset(130)
+	var sets []Set
+	for i := 0; i < 2*slabSets; i++ {
+		s := a.New()
+		if !s.Empty() || s.Len() != 130 {
+			t.Fatalf("set %d after Recycle: %v over %d", i, s, s.Len())
+		}
+		s.Add(129 - i%130)
+		sets = append(sets, s)
+	}
+	for i, s := range sets {
+		if s.Count() != 1 || !s.Has(129-i%130) {
+			t.Fatalf("set %d shares words with another: %v", i, s)
+		}
+	}
+	// At steady state a parse's worth of sets allocates no slab at all.
+	allocs := testing.AllocsPerRun(20, func() {
+		a.Reset(100)
+		for i := 0; i < 3*slabSets; i++ {
+			a.New().Add(i % 100)
+		}
+		a.Recycle()
+	})
+	if allocs != 0 {
+		t.Errorf("recycling arena allocates %.1f times per round, want 0", allocs)
+	}
+}
+
+func TestCloneInto(t *testing.T) {
+	src := Of(130, 0, 64, 129)
+	words := make([]uint64, 2*Words(130))
+	a := src.CloneInto(words[:Words(130)])
+	b := Of(130, 7).CloneInto(words[Words(130):])
+	if !a.Equal(src) || !b.Equal(Of(130, 7)) {
+		t.Fatalf("clones %v, %v", a, b)
+	}
+	src.Remove(64)
+	if !a.Has(64) {
+		t.Error("CloneInto aliased the source words")
+	}
+	a.UnionWith(Of(130, 1, 65, 128))
+	if b.Count() != 1 {
+		t.Errorf("neighboring clones share words: %v", b)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CloneInto accepted a buffer of the wrong length")
+		}
+	}()
+	src.CloneInto(words)
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

@@ -27,7 +27,15 @@ func New(n int) Set {
 	if n < 0 {
 		n = 0
 	}
-	return Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+	return Set{words: make([]uint64, Words(n)), n: n}
+}
+
+// Words returns how many words a set over the universe [0, n) occupies.
+func Words(n int) int {
+	if n < 0 {
+		return 0
+	}
+	return (n + wordBits - 1) / wordBits
 }
 
 // Of returns a set over [0, n) containing exactly the given members.
@@ -93,6 +101,17 @@ func (s Set) Clone() Set {
 	return c
 }
 
+// CloneInto copies s into words, which must be exactly Words(s.Len())
+// long, and returns the copy: a set backed by words. It lets a caller pack
+// many independent copies into one allocation.
+func (s Set) CloneInto(words []uint64) Set {
+	if len(words) != len(s.words) {
+		panic("bitset: CloneInto needs " + strconv.Itoa(len(s.words)) + " words, got " + strconv.Itoa(len(words)))
+	}
+	copy(words, s.words)
+	return Set{words: words[:len(words):len(words)], n: s.n}
+}
+
 // CopyFrom overwrites s's members with t's. The two sets must share a
 // universe size.
 func (s Set) CopyFrom(t Set) {
@@ -108,7 +127,7 @@ func (s *Set) Reset(n int) {
 	if n < 0 {
 		n = 0
 	}
-	w := (n + wordBits - 1) / wordBits
+	w := Words(n)
 	if cap(s.words) < w {
 		s.words = make([]uint64, w)
 	} else {

@@ -1,39 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 )
-
-// renderParse is a deterministic rendering of everything a Result exposes
-// (instances, structure, maximal roots, stats minus wall time), used to
-// compare parses bit for bit.
-func renderParse(res *Result) string {
-	var sb strings.Builder
-	for _, in := range res.Alive {
-		prod := ""
-		if in.Prod != nil {
-			prod = in.Prod.Name
-		}
-		fmt.Fprintf(&sb, "inst %d %s prod=%q cover=%v kids=[", in.ID, in.Sym, prod, in.Cover.Members())
-		for i, c := range in.Children {
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%d", c.ID)
-		}
-		sb.WriteString("]\n")
-	}
-	for _, m := range res.Maximal {
-		fmt.Fprintf(&sb, "max %d\n", m.ID)
-	}
-	st := res.Stats
-	st.Duration = 0
-	fmt.Fprintf(&sb, "stats %+v\n", st)
-	return sb.String()
-}
 
 // TestConjunctOrderPermutationParity fuzzes the claim the within-tier
 // cost order rests on: within a tier, ∧-factors commute under EvalBool
@@ -42,7 +13,7 @@ func renderParse(res *Result) string {
 // ConstraintEvals: a tier is one counted event no matter which factor
 // rejects). The test parses the corpus fragment under the seed schedule,
 // then under randomly permuted within-tier orders, and demands identical
-// renders. Cross-tier moves are NOT legal (an earlier tier would read
+// renders, alive set included. Cross-tier moves are NOT legal (an earlier tier would read
 // unbound slots), so permutations stay inside tier boundaries — which the
 // test also validates against each factor's MaxSlot. Each trial shuffles a
 // private copy of the plan, never the cached one other parsers share.
@@ -51,11 +22,15 @@ func TestConjunctOrderPermutationParity(t *testing.T) {
 	baseline := ""
 	{
 		p := mustParser(t, figure6Grammar, Options{})
+		last := watchParses(p)
 		res, err := p.Parse(toks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseline = renderParse(res)
+		baseline = renderResult(res, last(), true)
+		if !strings.HasPrefix(baseline, "inst ") {
+			t.Fatalf("the rendered alive set is empty\n%s", baseline)
+		}
 	}
 	rng := rand.New(rand.NewSource(20260807))
 	for trial := 0; trial < 12; trial++ {
@@ -63,6 +38,7 @@ func TestConjunctOrderPermutationParity(t *testing.T) {
 		pl := *p.pl
 		pl.prods = append([]prodPlan(nil), pl.prods...)
 		p.pl = &pl
+		last := watchParses(p)
 		permuted := 0
 		for i := range pl.prods {
 			pp := &pl.prods[i]
@@ -94,7 +70,7 @@ func TestConjunctOrderPermutationParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := renderParse(res); got != baseline {
+		if got := renderResult(res, last(), true); got != baseline {
 			t.Fatalf("trial %d: permuted conjunct order changed the parse\nbaseline:\n%s\ngot:\n%s",
 				trial, baseline, got)
 		}
@@ -112,11 +88,12 @@ func TestConjunctTiersMatchInterpreted(t *testing.T) {
 	var renders [2]string
 	for i, interpreted := range []bool{false, true} {
 		p := mustParser(t, figure6Grammar, Options{Interpreted: interpreted})
+		last := watchParses(p)
 		res, err := p.Parse(toks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		renders[i] = renderParse(res)
+		renders[i] = renderResult(res, last(), true)
 	}
 	if renders[0] != renders[1] {
 		t.Fatalf("compiled and interpreted tier evaluation diverge\ncompiled:\n%s\ninterpreted:\n%s",

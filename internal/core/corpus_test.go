@@ -1,8 +1,9 @@
 package core
 
-// Shared test corpus and result rendering: the fuzz token generator and the
-// canonical result dump the differential tests compare (exported to the
-// external test package through export_test.go).
+// Shared test corpus and result rendering: the fuzz token generator, the
+// observe-seam capture of a parse's full instance set, and the canonical
+// result dump the differential tests compare (exported to the external test
+// package through export_test.go).
 
 import (
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"strings"
 
 	"formext/internal/geom"
+	"formext/internal/grammar"
 	"formext/internal/token"
 )
 
@@ -68,13 +70,59 @@ func fuzzTokens(rng *rand.Rand, n int) []*token.Token {
 	return toks
 }
 
+// watchParses installs p's observe seam and returns a function reporting
+// the most recent parse's instances: a deep copy of every instance it
+// created, in ID order, with children, covers and Dead flags. Filtered
+// through alive, it is the full alive set the Result no longer carries.
+// The parser must not be parsing concurrently while the seam is read.
+func watchParses(p *Parser) func() []*grammar.Instance {
+	var last []*grammar.Instance
+	p.observe = func(all []*grammar.Instance) { last = cloneInstances(all) }
+	return func() []*grammar.Instance { return last }
+}
+
+// cloneInstances deep-copies an engine's instance list (IDs dense from 0,
+// children before parents) into test-owned storage.
+func cloneInstances(all []*grammar.Instance) []*grammar.Instance {
+	dst := make([]grammar.Instance, len(all))
+	out := make([]*grammar.Instance, len(all))
+	for i, in := range all {
+		dst[i] = *in
+		dst[i].Cover = in.Cover.Clone()
+		out[i] = &dst[i]
+	}
+	for i := range dst {
+		if cs := dst[i].Children; len(cs) > 0 {
+			kids := make([]*grammar.Instance, len(cs))
+			for j, c := range cs {
+				kids[j] = out[c.ID]
+			}
+			dst[i].Children = kids
+		}
+	}
+	return out
+}
+
+// alive returns the instances of all that survived the parse.
+func alive(all []*grammar.Instance) []*grammar.Instance {
+	var out []*grammar.Instance
+	for _, in := range all {
+		if !in.Dead {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
 // renderResult flattens everything parity must preserve into one string:
 // per-instance identity (ID, symbol, production, children, cover, pos) for
-// every alive instance, the maximal tree IDs, and the statistics with the
-// wall clock zeroed — and ConstraintEvals too unless evals is set.
-func renderResult(res *Result, evals bool) string {
+// every alive instance of all (the parse's instances, from watchParses),
+// the maximal tree IDs, and the statistics with the wall clock zeroed —
+// and ConstraintEvals too unless evals is set. The alive section comes
+// first, so a render of a parse with any alive instance starts "inst ".
+func renderResult(res *Result, all []*grammar.Instance, evals bool) string {
 	var sb strings.Builder
-	for _, in := range res.Alive {
+	for _, in := range alive(all) {
 		prod := ""
 		if in.Prod != nil {
 			prod = in.Prod.Name

@@ -52,12 +52,12 @@ func TestBindDoesNotLeakAcrossProductions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Parse(toks)
-		if err != nil {
+		last := watchParses(p)
+		if _, err := p.Parse(toks); err != nil {
 			t.Fatal(err)
 		}
 		var nA, nB int
-		for _, in := range res.Alive {
+		for _, in := range alive(last()) {
 			switch in.Sym {
 			case "A":
 				nA++

@@ -4,4 +4,5 @@ package core
 var (
 	FuzzTokens   = fuzzTokens
 	RenderResult = renderResult
+	WatchParses  = watchParses
 )

@@ -113,15 +113,15 @@ prod S -> t:text i:image : samerow(t, i);
 pref R w:text beats l:image when samerow(w, l);
 `
 	p := mustParser(t, src, Options{})
+	last := watchParses(p)
 	toks := []*token.Token{
 		{ID: 0, Type: token.Text, SVal: "x", Pos: geom.R(0, 10, 0, 10)},
 		{ID: 1, Type: token.Image, Pos: geom.R(20, 30, 0, 10)},
 	}
-	res, err := p.Parse(toks)
-	if err != nil {
+	if _, err := p.Parse(toks); err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range res.Alive {
+	for _, in := range alive(last()) {
 		if in.Sym == "S" {
 			t.Errorf("S built from a pruned image: %v", in)
 		}

@@ -81,16 +81,18 @@ func TestParentEdgesUnique(t *testing.T) {
 	}
 }
 
-// TestChildrenDistinctAfterParse checks the companion invariant on the
-// public Result (after freeze compaction remapped every node): no instance
-// lists the same child twice — the cover-disjointness half of the edge
-// uniqueness argument, observed end to end.
+// TestChildrenDistinctAfterParse checks the companion invariant on every
+// alive instance of a full parse (through the observe seam) and on the
+// public Result's maximal trees (after compaction remapped every node): no
+// instance lists the same child twice — the cover-disjointness half of the
+// edge uniqueness argument, observed end to end.
 func TestChildrenDistinctAfterParse(t *testing.T) {
 	for _, interpreted := range []bool{false, true} {
 		p, err := NewParser(grammar.Default(), Options{Interpreted: interpreted})
 		if err != nil {
 			t.Fatal(err)
 		}
+		last := watchParses(p)
 		res, err := p.Parse(qamFragmentTokens())
 		if err != nil {
 			t.Fatal(err)
@@ -114,8 +116,11 @@ func TestChildrenDistinctAfterParse(t *testing.T) {
 			}
 			checked++
 		}
-		for _, in := range res.Alive {
+		for _, in := range alive(last()) {
 			walk(in)
+		}
+		for _, m := range res.Maximal {
+			walk(m)
 		}
 		if checked == 0 {
 			t.Fatal("no instances checked")

@@ -81,17 +81,17 @@ type Stats struct {
 // Nonterminals returns the nonterminal instances created.
 func (s Stats) Nonterminals() int { return s.TotalCreated - s.Terminals }
 
-// Result is the parser output: the surviving instances and the maximal
-// partial parse trees (Section 5.3), ordered by descending cover.
+// Result is the parser output: the maximal partial parse trees (Section
+// 5.3), ordered by descending cover. The Result owns exactly what those
+// trees reach — their nodes, child lists and covers, copied out of the
+// engine at the end of the parse — and nothing else the parse built.
 type Result struct {
 	// Tokens is the input token set.
 	Tokens []*token.Token
 	// Maximal holds the maximum partial parse trees: alive instances whose
 	// cover is not properly subsumed by any other alive instance's cover.
 	Maximal []*grammar.Instance
-	// Alive holds every surviving instance (terminals included).
-	Alive []*grammar.Instance
-	Stats Stats
+	Stats   Stats
 }
 
 // Parser parses token sets against one grammar. A Parser is immutable
@@ -103,6 +103,13 @@ type Parser struct {
 	pl   *plan
 	opt  Options
 	pool sync.Pool // *engine
+
+	// observe, when non-nil, is called once per parse with every instance
+	// the parse created (ID order, final Dead flags) just before the engine
+	// recycles them. It is the package tests' view of the full alive set,
+	// which the Result does not carry; the instances are engine scratch, so
+	// an observer copies what it keeps.
+	observe func(all []*grammar.Instance)
 }
 
 // NewParser builds a parser for the grammar. The plan — 2P schedule plus
@@ -256,21 +263,29 @@ func (p *Parser) ParseContext(ctx context.Context, toks []*token.Token, sp *obs.
 	res.Maximal = e.maximize(p.pl.g.Start)
 	msp.SetInt("trees", int64(len(res.Maximal)))
 	msp.End()
-	res.Maximal, res.Alive = e.compact(res.Maximal)
-	e.stats.Alive = len(res.Alive)
-	e.stats.MaximalTrees = len(res.Maximal)
+	// Alive instances are counted here, over every instance the parse
+	// built, because compaction keeps only the maximal trees' reach.
 	// Complete parses are counted over all alive start-symbol instances:
 	// distinct derivations of the full token set are distinct global
 	// interpretations (Figure 9), even though maximization keeps one
 	// representative per cover.
-	for _, in := range res.Alive {
+	for _, in := range e.all {
+		if in.Dead {
+			continue
+		}
+		e.stats.Alive++
 		if in.Sym == p.pl.g.Start && in.Cover.Count() == len(toks) {
 			e.stats.CompleteParses++
 		}
 	}
+	res.Maximal = e.compact(res.Maximal)
+	e.stats.MaximalTrees = len(res.Maximal)
 	e.stats.Interrupted = e.interrupted
 	e.stats.Duration = time.Since(start)
 	res.Stats = e.stats
+	if p.observe != nil {
+		p.observe(e.all)
+	}
 
 	sp.SetInt("tokens", int64(e.stats.Tokens))
 	sp.SetInt("instances", int64(e.stats.TotalCreated))
@@ -322,9 +337,10 @@ func appendInt(buf []byte, v int) []byte {
 
 // instSlabSize is how many instances one engine slab holds; childSlabSize
 // how many child pointers. The parse builds instances in these engine-owned
-// slabs; at the end compact() copies the instances the Result reaches into
-// exact-size Result-owned storage, so the slabs are cleared and recycled for
-// the next parse instead of being retained by the Result. maxFreeSlabs caps
+// slabs (and their covers in the engine's bitset arena); at the end
+// compact() copies the instances the Result reaches into exact-size
+// Result-owned storage, so the slabs are cleared and recycled for the next
+// parse instead of being retained by the Result. maxFreeSlabs caps
 // how many spare slabs of each kind a pooled engine keeps — a single
 // pathological parse cannot pin an unbounded pool.
 const (
@@ -336,9 +352,10 @@ const (
 // engine holds the mutable state of one parse. Engines are pooled per
 // Parser: scratch structures that hold no instance pointers (dedup table,
 // bitset scratch, join buffers, list headers) survive between parses, and
-// instance storage is carved from engine-owned slabs that recycle too —
-// compact() copies the alive survivors into Result-owned storage at the end
-// of each parse, so nothing the Result retains reaches into the engine.
+// instance and cover storage is carved from engine-owned slabs that recycle
+// too — compact() copies the maximal trees' reach into Result-owned storage
+// at the end of each parse, so nothing the Result retains reaches into the
+// engine.
 type engine struct {
 	pl  *plan
 	opt Options
@@ -427,16 +444,17 @@ type engine struct {
 	subLists []subList
 	subEdges []subEdge
 
-	// Freeze-compaction scratch: reach marks the IDs reachable from alive
-	// instances; remap[id] is the Result-owned copy of reachable instance
-	// id during compact(), nil for unreachable ones.
+	// Freeze-compaction scratch: reach marks the IDs reachable from the
+	// maximal trees; remap[id] is the Result-owned copy of reachable
+	// instance id during compact(), and nil everywhere outside it.
 	reach []bool
 	remap []*grammar.Instance
 
-	// Instance/child-pointer storage slabs (see instSlabSize). instSlab and
-	// childSlab are the chunks currently being filled; used* lists every
-	// chunk this parse touched (the current one last, header kept fresh);
-	// free* holds cleared chunks awaiting reuse.
+	// Cover words come from the bitset arena, which recycles its own
+	// slabs. Instance/child-pointer storage slabs (see instSlabSize):
+	// instSlab and childSlab are the chunks currently being filled; used*
+	// lists every chunk this parse touched (the current one last, header
+	// kept fresh); free* holds cleared chunks awaiting reuse.
 	arena     bitset.Arena
 	instSlab  []grammar.Instance
 	childSlab []*grammar.Instance
@@ -473,10 +491,11 @@ func (p *Parser) engine() *engine {
 	}
 }
 
-// release clears every reference the engine holds into the finished parse —
-// compact() copied the alive instances into Result-owned storage, so the
-// slabs only hold parse-scratch copies now — and recycles the slab chunks
-// (cleared, so a pooled engine pins nothing) before returning to the pool.
+// forgetInstances clears every reference the engine holds into the
+// finished parse — compact() copied what the Result reaches into
+// Result-owned storage, so the slabs only hold parse-scratch copies now —
+// and recycles the slab chunks and cover slabs (cleared, so a pooled engine
+// pins nothing) before release returns it to the pool.
 func (e *engine) forgetInstances() {
 	for i := range e.bySym {
 		clear(e.bySym[i])
@@ -490,13 +509,12 @@ func (e *engine) forgetInstances() {
 	}
 	clear(e.maxCands)
 	e.maxCands = e.maxCands[:0]
-	clear(e.remap)
 	e.pair = [2]*grammar.Instance{}
 	e.frame.Bind(nil)
 	clear(e.evalCtx.Bind)
 	e.ctx = nil
 	e.spareFor = nil
-	e.arena.Reset(0)
+	e.arena.Recycle()
 	for _, c := range e.usedInst {
 		clear(c)
 		if len(e.freeInst) < maxFreeSlabs {
@@ -659,7 +677,7 @@ func (e *engine) addParent(child int, parent int32) {
 // track registers a freshly built instance in the engine's indexes. Symbols
 // outside the grammar (token types no production mentions) skip the bySym
 // table — nothing can join over them — but still appear in e.all and hence
-// in Result.Alive. Instances are tracked in ID order, so the parent-graph
+// in Stats.Alive. Instances are tracked in ID order, so the parent-graph
 // head array grows in lockstep (parHead[in.ID] is this append).
 func (e *engine) track(in *grammar.Instance) {
 	if sid, ok := e.pl.symID[in.Sym]; ok {
@@ -1259,30 +1277,26 @@ func (e *engine) kill(in *grammar.Instance, spare bitset.Set, direct bool) {
 	}
 }
 
-// compact copies the Result's entire reach — every alive instance plus the
-// instances their subtrees run through — into exact-size Result-owned
-// storage, in creation (ID) order, and remaps the given maximal roots onto
-// the copies. Reachability must be computed, not equated with liveness:
-// winner-subtree sparing (see kill) deliberately leaves a dead loser as a
-// child inside its winner's alive derivation, so alive trees can contain
-// dead nodes. Covers need no copying — they point into arena slabs each
-// Set keeps alive on its own. The payoff is at release: the slabs, with
-// every unreachable instance they hold, go back to the engine instead of
-// being pinned by the Result, so steady-state parsing allocates instance
-// storage proportional to what survives rather than to everything the join
-// ever built.
-func (e *engine) compact(maximal []*grammar.Instance) (maxOut, alive []*grammar.Instance) {
+// compact copies the Result's entire reach — the maximal trees and every
+// instance their subtrees run through — into exact-size Result-owned
+// storage, in creation (ID) order, and remaps the maximal roots onto the
+// copies. The reach must be walked, not equated with liveness: winner-
+// subtree sparing (see kill) deliberately leaves a dead loser as a child
+// inside its winner's alive derivation, so the trees can contain dead nodes,
+// which keep their Dead flag. Covers are copied too, into one block of
+// words, because the engine's arena recycles its slabs. The payoff is at
+// release: the slabs, with every instance no maximal tree reaches, go back
+// to the engine instead of being pinned by the Result, so steady-state
+// parsing allocates storage proportional to what the Result keeps rather
+// than to everything the join ever built.
+func (e *engine) compact(maximal []*grammar.Instance) []*grammar.Instance {
 	if cap(e.reach) < len(e.all) {
 		e.reach = make([]bool, len(e.all))
 	}
 	e.reach = e.reach[:len(e.all)]
 	clear(e.reach)
-	nAlive := 0
-	for _, in := range e.all {
-		if !in.Dead {
-			nAlive++
-			e.markReach(in)
-		}
+	for _, m := range maximal {
+		e.markReach(m)
 	}
 	nReach, nKids := 0, 0
 	for _, in := range e.all {
@@ -1291,9 +1305,10 @@ func (e *engine) compact(maximal []*grammar.Instance) (maxOut, alive []*grammar.
 			nKids += len(in.Children)
 		}
 	}
+	wpn := bitset.Words(e.stats.Tokens)
 	dst := make([]grammar.Instance, nReach)
 	kids := make([]*grammar.Instance, nKids)
-	alive = make([]*grammar.Instance, 0, nAlive)
+	words := make([]uint64, nReach*wpn)
 	if cap(e.remap) < len(e.all) {
 		e.remap = make([]*grammar.Instance, len(e.all))
 	}
@@ -1301,14 +1316,11 @@ func (e *engine) compact(maximal []*grammar.Instance) (maxOut, alive []*grammar.
 	idx := 0
 	for _, in := range e.all {
 		if !e.reach[in.ID] {
-			remap[in.ID] = nil
 			continue
 		}
 		dst[idx] = *in
+		dst[idx].Cover = in.Cover.CloneInto(words[idx*wpn : (idx+1)*wpn])
 		remap[in.ID] = &dst[idx]
-		if !in.Dead {
-			alive = append(alive, &dst[idx])
-		}
 		idx++
 	}
 	kidx := 0
@@ -1327,7 +1339,13 @@ func (e *engine) compact(maximal []*grammar.Instance) (maxOut, alive []*grammar.
 	for i, m := range maximal {
 		maximal[i] = remap[m.ID]
 	}
-	return maximal, alive
+	// Leave remap all-nil for the next parse by undoing exactly the
+	// entries set here: a clear of the whole array would cost a pointer
+	// store per slot of the largest parse the engine ever ran.
+	for i := range dst {
+		remap[dst[i].ID] = nil
+	}
+	return maximal
 }
 
 // markReach marks in's subtree reachable (compaction scratch).

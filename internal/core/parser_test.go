@@ -178,11 +178,12 @@ func TestJustInTimePruningKillsAttrReading(t *testing.T) {
 	// name" must not survive as an Attr instance (the RBU reading wins by
 	// R1), and with scheduling the false Attr never feeds a TextVal.
 	p := mustParser(t, figure6Grammar, Options{})
+	last := watchParses(p)
 	res, err := p.Parse(qamFragmentTokens())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range res.Alive {
+	for _, in := range alive(last()) {
 		if in.Sym == "Attr" && in.Cover.Has(3) {
 			t.Errorf("Attr over token 3 should have been pruned: %v", in)
 		}
@@ -403,12 +404,12 @@ func TestSubsumePreferenceSparesWinnerDerivation(t *testing.T) {
 	// R2 kills the shorter radio lists, which are subtrees of the winning
 	// longer list; the winner's own derivation must survive the rollback.
 	p := mustParser(t, figure6Grammar, Options{})
-	res, err := p.Parse(qamFragmentTokens())
-	if err != nil {
+	last := watchParses(p)
+	if _, err := p.Parse(qamFragmentTokens()); err != nil {
 		t.Fatal(err)
 	}
 	longLists := 0
-	for _, in := range res.Alive {
+	for _, in := range alive(last()) {
 		if in.Sym == "RBList" && in.Cover.Count() == 6 {
 			longLists++
 		}

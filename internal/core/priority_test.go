@@ -56,13 +56,13 @@ func parsePriority(t *testing.T, bPrio, cPrio int, lateprune bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := watchParses(p)
 	toks := []*token.Token{{ID: 0, Type: token.Text, SVal: "x", Pos: geom.R(0, 10, 0, 10)}}
-	res, err := p.Parse(toks)
-	if err != nil {
+	if _, err := p.Parse(toks); err != nil {
 		t.Fatal(err)
 	}
 	aliveB, aliveC := false, false
-	for _, in := range res.Alive {
+	for _, in := range alive(last()) {
 		switch in.Sym {
 		case "B":
 			aliveB = true

@@ -76,18 +76,19 @@ prod S -> y:Y ;
 	toks := []*token.Token{
 		mk(0, "e", 0), mk(1, "f", 14), mk(2, "e", 28), mk(3, "f", 42),
 	}
-	res, err := p.Parse(toks)
-	if err != nil {
+	last := watchParses(p)
+	if _, err := p.Parse(toks); err != nil {
 		t.Fatal(err)
 	}
 	full := false
-	for _, in := range res.Alive {
+	live := alive(last())
+	for _, in := range live {
 		if (in.Sym == "X" || in.Sym == "Y") && in.Cover.Count() == 4 {
 			full = true
 		}
 	}
 	if !full {
-		t.Errorf("mutual recursion did not build the full chain; %d alive", len(res.Alive))
+		t.Errorf("mutual recursion did not build the full chain; %d alive", len(live))
 	}
 }
 
@@ -105,6 +106,7 @@ prod S -> p:Pic ;
 pref RT w:text beats l:image when samerow(w, l);
 `
 	p := mustParser(t, src, Options{})
+	last := watchParses(p)
 	toks := []*token.Token{
 		{ID: 0, Type: token.Text, SVal: "caption", Pos: geom.R(0, 50, 0, 10)},
 		{ID: 1, Type: token.Image, Pos: geom.R(60, 90, 0, 10)},
@@ -113,7 +115,7 @@ pref RT w:text beats l:image when samerow(w, l);
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range res.Alive {
+	for _, in := range alive(last()) {
 		if in.Sym == "image" || in.Sym == "Pic" {
 			t.Errorf("image reading should be dead: %v", in)
 		}
@@ -129,6 +131,7 @@ pref RT w:text beats l:image when samerow(w, l);
 
 	// The late-pruning path builds Pic first and must roll it back.
 	late := mustParser(t, src, Options{DisableScheduling: true})
+	lateLast := watchParses(late)
 	lres, err := late.Parse([]*token.Token{
 		{ID: 0, Type: token.Text, SVal: "caption", Pos: geom.R(0, 50, 0, 10)},
 		{ID: 1, Type: token.Image, Pos: geom.R(60, 90, 0, 10)},
@@ -139,7 +142,7 @@ pref RT w:text beats l:image when samerow(w, l);
 	if lres.Stats.RolledBack == 0 {
 		t.Error("late pruning should roll back Pic and its S parent")
 	}
-	for _, in := range lres.Alive {
+	for _, in := range alive(lateLast()) {
 		if in.Sym == "Pic" {
 			t.Errorf("Pic survived late pruning: %v", in)
 		}
@@ -160,12 +163,13 @@ prod S -> q:Quad ;
 		return &token.Token{ID: id, Type: "e", Pos: geom.R(x, x+10, 0, 10)}
 	}
 	toks := []*token.Token{mk(0, 0), mk(1, 14), mk(2, 28), mk(3, 42)}
+	last := watchParses(p)
 	res, err := p.Parse(toks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	quads := 0
-	for _, in := range res.Alive {
+	for _, in := range alive(last()) {
 		if in.Sym == "Quad" {
 			quads++
 			if in.Cover.Count() != 4 {

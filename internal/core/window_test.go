@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"formext/internal/dataset"
@@ -98,6 +99,7 @@ func TestJoinWindowsEquivalent(t *testing.T) {
 				t.Fatal(err)
 			}
 			pf := withoutWindows(t, pw)
+			lastW, lastF := watchParses(pw), watchParses(pf)
 			var evalsW, evalsF int
 			for i, toks := range cfg.corpus {
 				rw, err := pw.Parse(toks)
@@ -108,7 +110,11 @@ func TestJoinWindowsEquivalent(t *testing.T) {
 				if err != nil {
 					t.Fatalf("input %d: full scan: %v", i, err)
 				}
-				if got, want := renderResult(rw, false), renderResult(rf, false); got != want {
+				got, want := renderResult(rw, lastW(), false), renderResult(rf, lastF(), false)
+				if !strings.HasPrefix(got, "inst ") {
+					t.Fatalf("input %d: the rendered alive set is empty\n%s", i, got)
+				}
+				if got != want {
 					t.Fatalf("input %d (%d tokens): windowed and full-scan parses diverge\nwindowed:\n%s\nfull scan:\n%s",
 						i, len(toks), got, want)
 				}
@@ -181,47 +187,32 @@ func TestJoinWindowsPlanned(t *testing.T) {
 }
 
 // TestSubtreeSizesMatchSize checks maximize's bottom-up subtree-size pass
-// against the recursive Instance.Size for every alive instance.
+// against the recursive Instance.Size for every alive instance, and for
+// the compacted maximal trees the Result keeps.
 func TestSubtreeSizesMatchSize(t *testing.T) {
 	p, err := NewParser(grammar.Default(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := watchParses(p)
 	for i, toks := range tokenizePages(append(crawlPages(20), dataset.QamHTML)...) {
 		res, err := p.Parse(toks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The Result's reach — alive instances and their subtrees — in ID
-		// order, so children precede parents as they do in the engine.
-		seen := map[int]*grammar.Instance{}
-		var walk func(in *grammar.Instance)
-		walk = func(in *grammar.Instance) {
-			if seen[in.ID] == nil {
-				seen[in.ID] = in
-				for _, c := range in.Children {
-					walk(c)
-				}
-			}
-		}
-		maxID := 0
-		for _, in := range res.Alive {
-			walk(in)
-		}
-		for id := range seen {
-			maxID = max(maxID, id)
-		}
-		all := make([]*grammar.Instance, 0, len(seen))
-		for id := 0; id <= maxID; id++ {
-			if in := seen[id]; in != nil {
-				all = append(all, in)
-			}
-		}
-		keys := make([]maxKey, maxID+1)
+		// Every instance the parse built, in ID order — children precede
+		// parents, as maximize's pass over the engine's list requires.
+		all := last()
+		keys := make([]maxKey, len(all))
 		subtreeSizes(all, keys)
-		for _, in := range res.Alive {
+		for _, in := range alive(all) {
 			if got, want := int(keys[in.ID].size), in.Size(); got != want {
 				t.Fatalf("page %d: instance %d (%s): bottom-up size %d, Size() %d", i, in.ID, in.Sym, got, want)
+			}
+		}
+		for _, m := range res.Maximal {
+			if got, want := int(keys[m.ID].size), m.Size(); got != want {
+				t.Fatalf("page %d: maximal tree %d (%s): bottom-up size %d, compacted Size() %d", i, m.ID, m.Sym, got, want)
 			}
 		}
 	}
