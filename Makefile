@@ -47,9 +47,8 @@ hostile:
 		-run 'TestHostile|TestPanic|TestPool|TestParseBudget|TestCancelled|TestConcurrent|TestExtractAll|TestExtractTokens|TestDeep|TestDepth|TestParseContext|TestLayoutContext|TestDeadline|TestClientGone|TestDegraded' \
 		. ./internal/htmlparse/ ./internal/layout/ ./cmd/formserve/
 
-# Regenerate the paper's evaluation numbers and the serving/parsing
-# benchmarks (BENCH_pool.json records the before/after of PR 1,
-# BENCH_parser.json the parser hot-path rewrite of PR 3).
+# Run every `go test` benchmark: the paper's evaluation numbers and the
+# serving/parsing micro-benchmarks.
 bench:
 	go test -bench=. -benchmem ./...
 
@@ -58,9 +57,9 @@ bench:
 bench-smoke:
 	go test -bench . -benchtime=1x ./...
 
-# Extraction-cache benchmarks: the source of BENCH_cache.json (warm hit,
-# cold miss, 16-goroutine Zipf mix). The cache correctness tests themselves
-# run under -race as part of `make check`.
+# Extraction-cache benchmarks (warm hit, cold miss, 16-goroutine Zipf mix).
+# The cache correctness tests themselves run under -race as part of
+# `make check`.
 bench-cache:
 	go test -bench 'BenchmarkCachedExtract|BenchmarkCacheColdMiss|BenchmarkCacheParallel' \
 		-benchmem -benchtime=2s -run '^$$' .

@@ -273,8 +273,7 @@ func BenchmarkGrammarLoad(b *testing.B) {
 // BenchmarkNew measures extractor construction — the per-request cost the
 // serving path pays when it cannot reuse extractors. With the parse-once
 // default grammar and the shared schedule cache this is allocation-light;
-// the seed re-parsed the grammar DSL on every call (see BENCH_pool.json
-// for before/after).
+// the seed re-parsed the grammar DSL on every call.
 func BenchmarkNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -17,10 +17,11 @@ import (
 
 // CacheConfig sizes an extraction Cache.
 type CacheConfig struct {
-	// MaxBytes is the total budget, in approximate bytes of frozen results
-	// (the cost model counts tokens, parse-tree instances, memoized texts,
-	// the semantic model, and a DOM-size proxy). Must be positive — "no
-	// cache" is expressed by leaving Options.Cache nil.
+	// MaxBytes is the total budget, in the bytes frozen results keep
+	// resident (Result.Freeze: the parse trees' storage and memoized
+	// texts, the semantic model, and the front-end arena blocks holding the
+	// DOM and tokens). Must be positive — "no cache" is expressed by
+	// leaving Options.Cache nil.
 	MaxBytes int64
 	// TTL bounds entry lifetime; 0 means entries live until evicted by
 	// byte pressure.
@@ -134,7 +135,10 @@ func pageKey(prefix [32]byte, src []byte) cache.Key {
 // Freeze makes the result safe for any number of concurrent readers and
 // returns it. It pre-materializes every lazily memoized text cache in the
 // parse-tree graph (the only mutable state a completed Result retains) and
-// records the result's approximate byte footprint for cache accounting.
+// records the bytes the result keeps resident, for cache accounting: the
+// Result struct, the trees' storage (FreezeMemos), the semantic model, and
+// the blocks the front-end arenas handed over, which hold the DOM, tokens
+// and every string they alias.
 //
 // Freeze is idempotent but not itself concurrency-safe: exactly one
 // goroutine must freeze the result, with a happens-before edge to every
@@ -146,31 +150,10 @@ func (r *Result) Freeze() *Result {
 		return r
 	}
 	seen := make(map[*grammar.Instance]bool, 64)
-	cost := int64(unsafe.Sizeof(Result{}))
+	cost := int64(unsafe.Sizeof(Result{})) + modelCost(r.Model) + r.arenaBytes
 	for _, tr := range r.Trees {
 		cost += tr.FreezeMemos(seen)
 	}
-	// A Result retains only what its trees reach — the instances, child
-	// lists and cover words FreezeMemos just counted — not every instance
-	// the parse created, so this per-created-instance term is not a count
-	// of resident instances. It stands in for retention the other terms
-	// miss: ~40 KB per serve-shaped page, the retained heap after GC less
-	// the cost without this term (TestFreezeCostCoversRetainedHeap guards
-	// the sum). Without it a byte-bounded cache holds about twice its
-	// budget: the in-process serve workload's peak RSS went from ~290 to
-	// ~540 MB (its throughput rose, as more of the hot corpus stayed cached).
-	perInst := int64(unsafe.Sizeof(grammar.Instance{})) + int64(len(r.Tokens)/8+16)
-	cost += int64(r.Stats.TotalCreated) * perInst
-	for _, t := range r.Tokens {
-		cost += tokenCost(t)
-	}
-	cost += modelCost(r.Model)
-	// What the front-end arenas handed over (DOM slabs, render text, token
-	// slabs, the aliased source buffer). Token and node string fields were
-	// already counted above, but they alias slab or source memory rather
-	// than own it, so the sum does not double-count by much — and cache
-	// accounting prefers a slight overestimate.
-	cost += r.arenaBytes
 	r.cost = cost
 	r.frozen = true
 	return r
@@ -218,19 +201,6 @@ func (r *Result) cacheable() bool {
 		}
 	}
 	return true
-}
-
-// tokenCost approximates one token's resident bytes.
-func tokenCost(t *Token) int64 {
-	c := int64(unsafe.Sizeof(Token{})) + 16
-	c += int64(len(t.SVal) + len(t.Name) + len(t.Value) + len(t.ForID) + len(t.ElemID))
-	for _, o := range t.Options {
-		c += int64(len(o)) + 16
-	}
-	for _, o := range t.OptionValues {
-		c += int64(len(o)) + 16
-	}
-	return c
 }
 
 // modelCost approximates the semantic model's resident bytes.
@@ -288,9 +258,7 @@ func cachedExtract(ctx context.Context, c *Cache, prefix [32]byte, src []byte, t
 		if rerr != nil || res == nil || !res.cacheable() {
 			return res, 0, false, rerr
 		}
-		// Freeze folds in arenaBytes — the exact size of the DOM, text and
-		// token slabs the result retains plus the source buffer it aliases —
-		// which replaced the 2x-page-bytes proxy this charge used to add.
+		// The charge is the bytes the frozen result keeps resident (Freeze).
 		res.Freeze()
 		return res, res.cost, true, nil
 	})

@@ -1,11 +1,10 @@
 package formext_test
 
-// Cache benchmarks: the numbers behind BENCH_cache.json. The three shapes
-// the ISSUE's acceptance criteria name — a warm hit (the steady state a
-// crawler revisiting known interfaces sees), a cold miss (the cache's
-// overhead on top of an uncached extraction), and a 16-goroutine mixed
-// workload over a Zipf-ish page popularity distribution (the serving
-// shape: a few hot interfaces, a long cold tail).
+// Cache benchmarks (`make bench-cache`). Three shapes: a warm hit (the
+// steady state a crawler revisiting known interfaces sees), a cold miss
+// (the cache's overhead on top of an uncached extraction), and a
+// 16-goroutine mixed workload over a Zipf-ish page popularity distribution
+// (the serving shape: a few hot interfaces, a long cold tail).
 
 import (
 	"context"

@@ -220,14 +220,12 @@ type Result struct {
 	Form FormInfo
 
 	// frozen marks a result whose lazy state has been materialized by
-	// Freeze; cost is its approximate byte footprint, for cache accounting.
+	// Freeze; cost is the bytes it keeps resident, for cache accounting.
 	frozen bool
 	cost   int64
-	// arenaBytes is what the front end handed over when its arenas were
-	// released: the DOM, render-text and token slabs the result retains,
-	// plus the source buffer the tree aliases. Freeze folds it into cost,
-	// replacing the page-size proxy the cache used before arenas made the
-	// figure exact.
+	// arenaBytes is the bytes of the blocks the front-end arenas handed
+	// over when they were released (DOM, render text, tokens), plus the
+	// source buffer the tree aliases. Freeze folds it into cost.
 	arenaBytes int64
 }
 

@@ -16,19 +16,20 @@ import (
 // bundle, and a warm bundle's block lists and scratch buffers carry their
 // capacity into the next extraction.
 //
-// Ownership follows the slab discipline the core parser set: the produced
-// tree, render text and tokens retain arena memory, so the extraction
-// releases the bundle (handing the retained blocks to the Result) before
-// returning it to the pool. Release is wired through a defer so a panic
-// anywhere in the pipeline still leaves the bundle empty and poolable.
+// Ownership follows the slab discipline the core parser set: the DOM,
+// layout's joined text and the tokens retain arena memory, so the
+// extraction releases the bundle (handing those blocks to the Result, and
+// recycling the render tree, which no Result reaches) before returning it
+// to the pool. Release is wired through a defer so a panic anywhere in the
+// pipeline still leaves the bundle empty and poolable.
 type frontArena struct {
 	dom htmlparse.Arena
 	lay layout.Arena
 	tok token.Arena
 }
 
-// release hands every retained block to the result and returns the
-// approximate number of bytes the result now owns, for cache accounting.
+// release hands every retained block to the result and returns the bytes
+// of those blocks, for cache accounting.
 func (fa *frontArena) release() int64 {
 	return fa.dom.Release() + fa.lay.Release() + fa.tok.Release()
 }

@@ -175,7 +175,7 @@ func (c *Cache) Lookup(k Key) (any, bool) {
 
 // Do returns the value for k: from the cache, from another caller's
 // in-flight computation, or by running fn. fn returns the value, its
-// approximate byte cost, whether the value may be cached and shared, and an
+// byte cost, whether the value may be cached and shared, and an
 // error. Only cacheable, error-free values are inserted and fanned out to
 // coalesced waiters; any other outcome is returned to the leader alone,
 // and waiters retry (re-checking the cache, then computing under their own

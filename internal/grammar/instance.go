@@ -254,22 +254,29 @@ func (in *Instance) NormText() string {
 // FreezeMemos prepares the subtree for concurrent readers: it
 // pre-materializes the lazily memoized text caches of every instance
 // reachable through Children (the only remaining lazy writes) and returns
-// the approximate byte footprint of the visited subtree. Parent links need
-// no severing — the engine keeps them in its own index-form graph, so a
-// frozen Result never held rollback edges to begin with. After FreezeMemos
-// any number of goroutines may read the subtree concurrently (Walk, Text,
-// NormText, Dump, Explain). The seen set deduplicates shared nodes across
-// calls; pass one set per result.
+// the bytes the visited subtree keeps resident: each instance, its child
+// list and its cover words (the storage the parser copied out for the
+// Result), plus the memo strings that own their bytes rather than alias a
+// token's or the text memo's. Parent links need no severing — the engine
+// keeps them in its own index-form graph, so a frozen Result never held
+// rollback edges to begin with. After FreezeMemos any number of goroutines
+// may read the subtree concurrently (Walk, Text, NormText, Dump, Explain).
+// The seen set deduplicates shared nodes across calls; pass one set per
+// result.
 func (in *Instance) FreezeMemos(seen map[*Instance]bool) int64 {
 	if seen[in] {
 		return 0
 	}
 	seen[in] = true
-	// The struct, its slot in whatever index holds it, and the cover words.
-	cost := int64(unsafe.Sizeof(Instance{})) + int64(in.Cover.Len()/8+16)
-	cost += int64(len(in.Text()) + len(in.NormText()))
+	cost := int64(unsafe.Sizeof(Instance{})) + int64(8*len(in.Children)) + int64(8*bitset.Words(in.Cover.Len()))
+	text := in.Text()
+	if _, n := firstText(in, "", 0); n > 1 {
+		cost += int64(len(text)) // joined by Texts; a lone text aliases its token
+	}
+	if norm := in.NormText(); len(norm) > 0 && unsafe.StringData(norm) != unsafe.StringData(text) {
+		cost += int64(len(norm))
+	}
 	in.shapeBits()
-	cost += int64(8 * len(in.Children))
 	for _, c := range in.Children {
 		cost += c.FreezeMemos(seen)
 	}

@@ -23,18 +23,14 @@ type Arena struct {
 	stack []openElem // parse-time element stack, reused across parses
 }
 
-// nodeBytes approximates the retained size of one Node for cache cost
-// accounting (struct plus the child-pointer slot its parent holds).
-const nodeBytes = 96
-
-// Release hands the parsed tree its memory and returns the approximate
-// number of retained bytes. The arena is immediately reusable; only the
-// scratch stack's capacity carries over.
+// Release hands the parsed tree its memory and returns the bytes of the
+// blocks handed over. The arena is immediately reusable; only the scratch
+// stack's capacity carries over.
 func (a *Arena) Release() int64 {
 	if a == nil {
 		return 0
 	}
-	n := a.nodes.Drop()*nodeBytes + a.children.Drop()*8 + a.attrs.Drop()*32 + a.text.Drop()
+	n := a.nodes.Drop() + a.children.Drop() + a.attrs.Drop() + a.text.Drop()
 	// Clear the whole stack capacity: truncation after a parse leaves node
 	// pointers in the tail that would otherwise pin the handed-over tree.
 	full := a.stack[:cap(a.stack)]

@@ -5,27 +5,29 @@ import (
 	"formext/internal/slab"
 )
 
-// Arena supplies every allocation a layout run makes. Box structs, the
-// child-pointer slices behind Box.Children, and the joined text behind
-// TextBox.Text are retained by the produced render tree, so Release hands
-// their blocks over (the core slab discipline); everything else — flow
-// structs, table grids, column widths, the cell-measure memo — is scratch
-// that only lives for the run but is carved from the same arena so a run
-// performs no per-node heap allocation at all.
+// Arena supplies every allocation a layout run makes. Only the joined text
+// behind TextBox.Text outlives the run — tokens alias it as their string
+// values — so Release hands its blocks over (the core slab discipline).
+// Everything else — Box structs, the child-pointer slices behind
+// Box.Children, flow structs, table grids, column widths, the cell-measure
+// memo — is scratch carved from the same arena so a run performs no
+// per-node heap allocation at all. No Result reaches a Box (tokens copy
+// their Pos and point at DOM nodes), so the render tree is valid only until
+// Release, which recycles its blocks for the next run.
 //
 // One arena serves one layout run at a time. The facade pools arenas per
 // extractor; the zero value is ready to use, and a nil *Arena makes every
 // helper fall back to plain heap allocation, which keeps Engine.Layout
 // usable without one.
 type Arena struct {
-	boxes slab.Slab[Box]
-	ptrs  slab.Slab[*Box]
-	text  slab.Bytes
+	text slab.Bytes
 
-	// Scratch. Nothing retains objects carved from the slabs below, so
-	// Release resets them — blocks are zeroed and kept for the next run
-	// instead of re-allocated per extraction — and the memo map is cleared
-	// and reused the same way.
+	// Scratch. Nothing retains objects carved from the slabs below past
+	// Release, which resets them — blocks are zeroed and kept for the next
+	// run instead of re-allocated per extraction — and the memo map is
+	// cleared and reused the same way.
+	boxes   slab.Slab[Box]
+	ptrs    slab.Slab[*Box]
 	flows   slab.Slab[flow]
 	rows    slab.Slab[*htmlparse.Node]
 	cells   slab.Slab[tableCell]
@@ -36,20 +38,19 @@ type Arena struct {
 	measure map[*htmlparse.Node]float64
 }
 
-// boxBytes approximates the retained size of one Box for cache cost
-// accounting (struct plus the child-pointer slot its parent holds).
-const boxBytes = 96
-
-// Release hands the render tree its memory and returns the approximate
-// number of retained bytes. Scratch slabs are reset, not dropped: the tree
-// does not reference them, so their zeroed blocks carry over to the next
-// run (Reset's clearing also unpins the released tree — recycled flow and
-// grid structs hold box pointers until overwritten otherwise).
+// Release hands the render text its memory, returns the bytes of the
+// blocks handed over, and recycles everything else: the render tree is
+// invalid from here on. Scratch slabs are reset, not dropped, so their
+// zeroed blocks carry over to the next run (Reset's clearing also unpins
+// the DOM — recycled boxes, flows and grid structs hold node and box
+// pointers until overwritten otherwise).
 func (a *Arena) Release() int64 {
 	if a == nil {
 		return 0
 	}
-	n := a.boxes.Drop()*boxBytes + a.ptrs.Drop()*8 + a.text.Drop()
+	n := a.text.Drop()
+	a.boxes.Reset()
+	a.ptrs.Reset()
 	a.flows.Reset()
 	a.rows.Reset()
 	a.cells.Reset()

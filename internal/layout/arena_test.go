@@ -64,7 +64,9 @@ func TestLayoutArenaReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		boxesEqual(t, "root", want, got)
-		if n := a.Release(); n <= 0 {
+		// Release hands over only the render text's blocks (the boxes are
+		// recycled into the next run), so it may report 0 bytes.
+		if n := a.Release(); n < 0 {
 			t.Fatalf("run %d: Release reported %d retained bytes", i, n)
 		}
 	}

@@ -46,9 +46,10 @@ func (e *Engine) LayoutContext(ctx context.Context, doc *htmlparse.Node) (*Box, 
 }
 
 // LayoutArena is LayoutContext with every allocation drawn from the arena
-// (nil runs without one). The returned render tree retains arena memory:
-// release the arena after the tree's owner takes it over, and do not reuse
-// the arena while the tree is alive.
+// (nil runs without one). The returned render tree lives in arena memory
+// and is valid only until the arena's Release, which hands over just the
+// box text (strings taken from TextBox.Text stay valid) and recycles the
+// boxes themselves.
 func (e *Engine) LayoutArena(ctx context.Context, doc *htmlparse.Node, a *Arena) (*Box, error) {
 	root := doc
 	if body := doc.FindTag("body"); body != nil {

@@ -13,6 +13,8 @@
 // mutable; callers pool whole arenas, not individual slabs.
 package slab
 
+import "unsafe"
+
 // blockSize is the number of objects per backing array. Big enough that a
 // typical page costs one or two blocks per slab, small enough that the
 // tail waste of a Drop is irrelevant.
@@ -29,7 +31,7 @@ type Slab[T any] struct {
 
 	// BlockCap overrides the default objects-per-block when positive. Slabs
 	// whose blocks are dropped to a Result every run should size them near
-	// the typical population: a 256-slot block of 176-byte tokens is 45KB
+	// the typical population: a 256-slot block of 200-byte tokens is 50KB
 	// re-allocated per extraction for a page that uses 50 of them.
 	BlockCap int
 }
@@ -138,17 +140,21 @@ func (s *Slab[T]) Reset() {
 
 // Drop releases ownership of every block: carved objects stay valid for
 // whoever retains them, and the slab starts over empty. Use when the run's
-// output (a Result) owns the objects.
+// output (a Result) owns the objects. It returns the bytes of the blocks
+// handed over — whole blocks, carved or not, since any carved object pins
+// its block — which is what the new owner keeps resident. Recycled free
+// blocks are not handed over; they become garbage.
 func (s *Slab[T]) Drop() int64 {
 	if s == nil {
 		return 0
 	}
-	n := int64(len(s.cur))
+	var zero T
+	n := cap(s.cur)
 	for _, b := range s.full {
-		n += int64(len(b))
+		n += cap(b)
 	}
 	s.cur, s.full, s.free = nil, nil, nil
-	return n
+	return int64(n) * int64(unsafe.Sizeof(zero))
 }
 
 // Live returns the number of objects currently carved.

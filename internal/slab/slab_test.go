@@ -103,9 +103,11 @@ func TestSlabDropKeepsObjects(t *testing.T) {
 		*p = i
 		ptrs = append(ptrs, p)
 	}
+	// Drop reports the bytes of the whole blocks handed over: two full
+	// default blocks of 8-byte ints, though the second holds only 10.
 	n := s.Drop()
-	if n != int64(blockSize+10) {
-		t.Fatalf("Drop count = %d", n)
+	if want := int64(2 * blockSize * 8); n != want {
+		t.Fatalf("Drop bytes = %d, want %d", n, want)
 	}
 	// Carved objects survive the drop, and the slab starts over.
 	for i, p := range ptrs {
@@ -190,8 +192,9 @@ func TestBytesCopyAndReset(t *testing.T) {
 	if s != "abc" {
 		t.Fatalf("Copy = %q", s)
 	}
-	if b.Drop() != 3 {
-		t.Fatalf("Drop count wrong")
+	// Drop reports the whole block the 3-byte string pins.
+	if n := b.Drop(); n != byteBlockSize {
+		t.Fatalf("Drop bytes = %d, want %d", n, byteBlockSize)
 	}
 	b.BeginRun()
 	b.AppendString("xyzw")
